@@ -1,5 +1,6 @@
 // libFuzzer target: differential encode -> decode round trip. The
-// input bytes pick a scheme, geometry, kernel variant and payload; the
+// input bytes pick a scheme, geometry, kernel variant, state policy
+// (threaded, or the kernels' own per-burst reset) and payload; the
 // properties under test are
 //   decode(apply(payload, encode(payload))) == payload   (identity)
 // for the engine kernels at every geometry the bytes can reach,
@@ -80,21 +81,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     std::vector<engine::BurstResult> results(bursts);
     std::vector<engine::BurstResult> ref_results(bursts);
     std::vector<std::uint64_t> masks(bursts);
-    BusState state = BusState::all_ones(cfg);
+    // Under reset the variant's kernel restarts every burst itself
+    // (the vector blocks and the tail alike), so the entry state must
+    // not matter: hand the two encoders different ones.
+    BusState state = reset ? BusState::all_zeros() : BusState::all_ones(cfg);
     BusState ref_state = BusState::all_ones(cfg);
-    if (reset) {
-      for (std::size_t i = 0; i < bursts; ++i) {
-        state = BusState::all_ones(cfg);
-        ref_state = BusState::all_ones(cfg);
-        const auto burst =
-            std::span<const std::uint8_t>(payload).subspan(i * bb, bb);
-        (void)engine.encode_packed(burst, cfg, state, results.data() + i);
-        (void)swar.encode_packed(burst, cfg, ref_state, ref_results.data() + i);
-      }
-    } else {
-      (void)engine.encode_packed(payload, cfg, state, results.data());
-      (void)swar.encode_packed(payload, cfg, ref_state, ref_results.data());
-    }
+    (void)engine.encode_packed(payload, cfg, state, results.data(), 1, reset);
+    (void)swar.encode_packed(payload, cfg, ref_state, ref_results.data(), 1,
+                             reset);
     if (results != ref_results)
       fail("narrow kernel variant diverges from the portable reference");
     if (!(state == ref_state))
@@ -153,25 +147,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   for (int g = 0; g < groups; ++g)
     states[static_cast<std::size_t>(g)] = ref_states[static_cast<std::size_t>(
         g)] = BusState::all_ones(cfg.group_config(g));
-  if (reset) {
-    for (std::size_t i = 0; i < bursts; ++i) {
-      for (int g = 0; g < groups; ++g)
-        states[static_cast<std::size_t>(g)] =
-            ref_states[static_cast<std::size_t>(g)] =
-                BusState::all_ones(cfg.group_config(g));
-      const auto burst =
-          std::span<const std::uint8_t>(payload).subspan(i * bb, bb);
-      (void)engine.encode_packed_wide(
-          burst, cfg, states,
-          results.data() + i * static_cast<std::size_t>(groups));
-      (void)swar.encode_packed_wide(
-          burst, cfg, ref_states,
-          ref_results.data() + i * static_cast<std::size_t>(groups));
-    }
-  } else {
-    (void)engine.encode_packed_wide(payload, cfg, states, results.data());
-    (void)swar.encode_packed_wide(payload, cfg, ref_states,
-                                  ref_results.data());
+  // Group by group, as StreamEncoder shards a wide lane; under reset
+  // each group slice restarts every burst inside the kernel.
+  const auto stride = static_cast<std::size_t>(groups);
+  for (int g = 0; g < groups; ++g) {
+    const auto gi = static_cast<std::size_t>(g);
+    if (reset) states[gi] = BusState::all_zeros();
+    (void)engine.encode_packed_group(payload, cfg, g, states[gi],
+                                     results.data() + gi, stride, reset);
+    (void)swar.encode_packed_group(payload, cfg, g, ref_states[gi],
+                                   ref_results.data() + gi, stride, reset);
   }
   if (results != ref_results)
     fail("wide kernel variant diverges from the portable reference");

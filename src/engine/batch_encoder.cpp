@@ -209,7 +209,9 @@ BurstStats BatchEncoder::encode_words(std::span<const Word> words,
 
 BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
                                        const BusConfig& cfg, BusState& state,
-                                       BurstResult* results) const {
+                                       BurstResult* results,
+                                       std::size_t results_stride,
+                                       bool reset_per_burst) const {
   cfg.validate();
   const auto bl = static_cast<std::size_t>(cfg.burst_length);
   const auto bpb = static_cast<std::size_t>(cfg.bytes_per_beat());
@@ -237,10 +239,11 @@ BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
                                    ? *kernel_
                                    : portable_kernel();
       if (obs_) obs_->count_encode_dispatch(k, &k != kernel_);
-      return k.encode_fixed8(*rule, p, n, ibl, /*stride=*/1, state, results,
-                             /*results_stride=*/1);
+      return k.encode_fixed8(*rule, p, n, ibl, /*stride=*/1, reset_per_burst,
+                             state, results, results_stride);
     }
     for (std::size_t i = 0; i < n; ++i, p += burst_bytes) {
+      if (reset_per_burst) state = BusState::all_ones(cfg);
       const kernels::ByteBeats beats{p, ibl};
       BurstResult r;
       if (scheme_ == Scheme::kOpt) {
@@ -252,7 +255,7 @@ BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
       }
       r.stats = apply_mask(beats, cfg, r.invert_mask, state);
       totals += r.stats;
-      if (results) results[i] = r;
+      if (results) results[i * results_stride] = r;
     }
     return totals;
   }
@@ -271,10 +274,11 @@ BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
             " exceeds the width-" + std::to_string(cfg.width) + " bus");
       buf[t] = w;
     }
+    if (reset_per_burst) state = BusState::all_ones(cfg);
     const BurstResult r =
         encode_span(std::span<const Word>(buf, bl), cfg, state, nullptr);
     totals += r.stats;
-    if (results) results[i] = r;
+    if (results) results[i * results_stride] = r;
   }
   return totals;
 }
@@ -282,7 +286,7 @@ BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
 BurstStats BatchEncoder::encode_packed_group(
     std::span<const std::uint8_t> bytes, const dbi::WideBusConfig& cfg,
     int group, BusState& state, BurstResult* results,
-    std::size_t results_stride) const {
+    std::size_t results_stride, bool reset_per_burst) const {
   cfg.validate();
   const int groups = cfg.groups();
   if (group < 0 || group >= groups)
@@ -316,8 +320,8 @@ BurstStats BatchEncoder::encode_packed_group(
                                    ? *kernel_
                                    : portable_kernel();
       if (obs_) obs_->count_encode_dispatch(k, &k != kernel_);
-      return k.encode_fixed8(*rule, p, n, bl, groups, state, results,
-                             results_stride);
+      return k.encode_fixed8(*rule, p, n, bl, groups, reset_per_burst, state,
+                             results, results_stride);
     }
   }
 
@@ -335,6 +339,7 @@ BurstStats BatchEncoder::encode_packed_group(
               " exceeds the width-" + std::to_string(gw) +
               " remainder group " + std::to_string(group));
     }
+    if (reset_per_burst) state = BusState::all_ones(gcfg);
     BurstResult r;
     switch (scheme_) {
       case Scheme::kRaw:

@@ -134,11 +134,17 @@ class BatchEncoder {
   /// payload layout — burst_length beats of cfg.bytes_per_beat()
   /// little-endian bytes each, bursts back to back. Decodes beats on a
   /// fixed stack buffer (no heap traffic) and threads `state` like
-  /// encode_words. Beats outside cfg.dq_mask() throw.
+  /// encode_words. Beats outside cfg.dq_mask() throw. Burst i's result
+  /// goes to results[i * results_stride] when `results` is non-null.
+  /// With `reset_per_burst`, every burst starts from
+  /// BusState::all_ones(cfg) instead (the paper's boundary); `state`
+  /// still ends at the last burst's line values.
   dbi::BurstStats encode_packed(std::span<const std::uint8_t> bytes,
                                 const dbi::BusConfig& cfg,
                                 dbi::BusState& state,
-                                BurstResult* results = nullptr) const;
+                                BurstResult* results = nullptr,
+                                std::size_t results_stride = 1,
+                                bool reset_per_burst = false) const;
 
   /// Wide-bus packed encode: `bytes` holds consecutive beat-major wide
   /// bursts (cfg.bytes_per_burst() bytes each, byte g of a beat carrying
@@ -157,13 +163,16 @@ class BatchEncoder {
 
   /// One group slice of a wide packed stream — the unit ReplayPipeline
   /// and encode_wide_lanes shard on. Encodes group `group` of every
-  /// burst in `bytes`, threading `state`; burst i's result is written
-  /// to results[i * results_stride] when `results` is non-null.
+  /// burst in `bytes`, threading `state` (or, with `reset_per_burst`,
+  /// starting every burst from the group's all-ones state); burst i's
+  /// result is written to results[i * results_stride] when `results`
+  /// is non-null.
   dbi::BurstStats encode_packed_group(std::span<const std::uint8_t> bytes,
                                       const dbi::WideBusConfig& cfg, int group,
                                       dbi::BusState& state,
                                       BurstResult* results = nullptr,
-                                      std::size_t results_stride = 1) const;
+                                      std::size_t results_stride = 1,
+                                      bool reset_per_burst = false) const;
 
   /// Encodes many independent wide lanes, sharding at group
   /// granularity: unit (lane l, group g) runs on worker

@@ -10,7 +10,8 @@
 //   * decode_fixed8: width 8, burst_length % 8 == 0;
 //   * decode_wide8:  burst_length % 8 == 0.
 // See kernel_avx512.cpp for the shared algorithm notes; the scalar
-// per-burst AC boundary fixup and the stats identities are identical.
+// per-burst AC boundary fixup of the threaded path, the all-vector
+// per-burst-reset path and the stats identities are identical.
 #include "engine/kernel_variants.hpp"
 
 #if defined(DBI_HAVE_AVX2)
@@ -81,20 +82,155 @@ class Avx2Kernel final : public KernelVariant {
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
                                 std::size_t bursts, int burst_length,
-                                int stride, dbi::BusState& state,
-                                BurstResult* results,
+                                int stride, bool reset_per_burst,
+                                dbi::BusState& state, BurstResult* results,
                                 std::size_t results_stride) const override {
-    if (burst_length != 8 || rule == Fixed8Rule::kRaw) {
-      return portable_kernel().encode_fixed8(rule, bytes, bursts, burst_length,
-                                             stride, state, results,
-                                             results_stride);
+    std::size_t vec = 0;  // bursts the vector loops take, 4 per ymm
+    dbi::BurstStats totals;
+    if (burst_length == 8 && rule != Fixed8Rule::kRaw) {
+      vec = bursts & ~std::size_t{3};
+      totals = reset_per_burst
+                   ? encode_reset(rule, bytes, vec, stride, state, results,
+                                  results_stride)
+                   : encode_threaded(rule, bytes, vec, stride, state,
+                                     results, results_stride);
     }
+    // Tail bursts and geometries outside the envelope: the portable
+    // reference, carrying the state the vector loop left.
+    const auto bb = static_cast<std::size_t>(burst_length) *
+                    static_cast<std::size_t>(stride);
+    return totals + portable_kernel().encode_fixed8(
+                        rule, bytes + vec * bb, bursts - vec, burst_length,
+                        stride, reset_per_burst, state,
+                        results ? results + vec * results_stride : nullptr,
+                        results_stride);
+  }
 
+  void decode_fixed8(const std::uint8_t* tx, const std::uint64_t* masks,
+                     std::size_t bursts, const dbi::BusConfig& cfg,
+                     std::uint8_t* out) const override {
+    if (cfg.width != 8 || cfg.burst_length % 8 != 0) {
+      portable_kernel().decode_fixed8(tx, masks, bursts, cfg, out);
+      return;
+    }
+    if (cfg.burst_length == 8) {
+      // One block per burst: pshufb moves the low byte of 4
+      // consecutive masks to bytes 0..3 (2 per 128-bit lane), an OR
+      // of the two lanes packs them into the ymm's 32 lane flags.
+      const __m256i pick = _mm256_setr_epi8(
+          0, 8, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+          -1, -1, 0, 8, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+      std::size_t i = 0;
+      for (; i + 4 <= bursts; i += 4) {
+        const __m256i b = _mm256_shuffle_epi8(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(masks + i)),
+            pick);
+        const auto m32 = static_cast<std::uint32_t>(_mm_cvtsi128_si32(
+            _mm_or_si128(_mm256_castsi256_si128(b),
+                         _mm256_extracti128_si256(b, 1))));
+        xor_block32(tx + i * 8, m32, out + i * 8);
+      }
+      for (; i < bursts; ++i) xor_block8(tx + i * 8, masks[i], out + i * 8);
+      return;
+    }
+    // Longer bursts, burst-major: each burst's mask bytes are its
+    // blocks' flags in order, gathered 4 at a time across bursts.
+    const int bpb = cfg.burst_length / 8;
+    std::uint32_t m32 = 0;
+    int have = 0;  // blocks gathered into m32
+    std::size_t bk = 0;  // first block of the pending ymm
+    for (std::size_t i = 0; i < bursts; ++i) {
+      std::uint64_t m = masks[i];
+      for (int t = 0; t < bpb; ++t, m >>= 8) {
+        m32 |= static_cast<std::uint32_t>(m & 0xFFULL) << (8 * have);
+        if (++have == 4) {
+          xor_block32(tx + bk * 8, m32, out + bk * 8);
+          bk += 4;
+          m32 = 0;
+          have = 0;
+        }
+      }
+    }
+    for (int k = 0; k < have; ++k, ++bk, m32 >>= 8)
+      xor_block8(tx + bk * 8, m32, out + bk * 8);
+  }
+
+  void decode_wide8(std::uint8_t* data, const std::uint64_t* masks,
+                    std::size_t bursts, int burst_length) const override {
+    if (burst_length % 8 != 0) {
+      portable_kernel().decode_wide8(data, masks, bursts, burst_length);
+      return;
+    }
+    // Transpose 8 group-mask bytes per 8-beat chunk (see
+    // kernel_avx512.cpp), then spread the 64 flag bits as two ymm halves
+    // over the beat-major payload.
+    const int bl = burst_length;
+    const auto bb = static_cast<std::size_t>(bl) * 8;
+    for (std::size_t i = 0; i < bursts; ++i) {
+      const std::uint64_t* mk = masks + i * 8;
+      std::uint8_t* base = data + i * bb;
+      for (int t0 = 0; t0 < bl; t0 += 8) {
+        std::uint64_t m8 = 0;
+        for (int g = 0; g < 8; ++g)
+          m8 |= ((mk[g] >> t0) & 0xFFULL) << (8 * g);
+        const std::uint64_t tile = transpose8(m8);
+        std::uint8_t* p = base + static_cast<std::size_t>(t0) * 8;
+        for (int half = 0; half < 2; ++half) {
+          const auto bits =
+              static_cast<std::uint32_t>(tile >> (32 * half));
+          std::uint8_t* q = p + 32 * half;
+          const __m256i v =
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q));
+          _mm256_storeu_si256(reinterpret_cast<__m256i*>(q),
+                              _mm256_xor_si256(v, spread_mask32(bits)));
+        }
+      }
+    }
+  }
+
+ private:
+  /// 32 transmitted bytes XOR the 0xFF spread of their 32 flags.
+  static void xor_block32(const std::uint8_t* tx, std::uint32_t flags,
+                          std::uint8_t* out) {
+    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tx));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                        _mm256_xor_si256(v, spread_mask32(flags)));
+  }
+
+  /// One 8-byte block XOR the spread of the low 8 flag bits.
+  static void xor_block8(const std::uint8_t* tx, std::uint64_t flags,
+                         std::uint8_t* out) {
+    std::uint64_t p = 0;
+    std::memcpy(&p, tx, 8);
+    p ^= kernels::spread_bits_to_bytes(flags & 0xFFULL);
+    std::memcpy(out, &p, 8);
+  }
+
+  /// 32 beats of one byte group at `stride` (1 = contiguous), beat k
+  /// in byte k; strided slices gather through `scratch` (32 bytes).
+  static __m256i load_beats32(const std::uint8_t* p, int stride,
+                              std::uint8_t* scratch) {
+    if (stride != 1) {
+      for (int k = 0; k < 32; ++k)
+        scratch[k] =
+            p[static_cast<std::size_t>(k) * static_cast<std::size_t>(stride)];
+      p = scratch;
+    }
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+
+  /// Threaded-state vector loop over `bursts` (a multiple of 4) BL8
+  /// bursts; leaves `state` at the last burst's line values.
+  static dbi::BurstStats encode_threaded(Fixed8Rule rule,
+                                         const std::uint8_t* bytes,
+                                         std::size_t bursts, int stride,
+                                         dbi::BusState& state,
+                                         BurstResult* results,
+                                         std::size_t results_stride) {
     dbi::BurstStats totals;
     std::uint64_t prev_tx = state.last.dq & 0xFFU;
     bool prev_dbi = state.last.dbi;
     const std::uint8_t* p = bytes;
-    std::size_t i = 0;
 
     alignas(32) std::uint8_t gbuf[32];
     // Byte-shift-with-carry scratch (see kernel_avx512.cpp): the
@@ -104,16 +240,9 @@ class Avx2Kernel final : public KernelVariant {
     alignas(32) std::uint64_t txpop[4];
     alignas(32) std::uint64_t adjpop[4];
 
-    for (; i + 4 <= bursts; i += 4, p += std::size_t{32} * stride) {
-      const std::uint8_t* b = p;
-      if (stride != 1) {
-        for (int k = 0; k < 32; ++k)
-          gbuf[k] = p[static_cast<std::size_t>(k) *
-                      static_cast<std::size_t>(stride)];
-        b = gbuf;
-      }
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
+    for (std::size_t i = 0; i < bursts; i += 4, p += std::size_t{32} * stride) {
+      const __m256i v = load_beats32(p, stride, gbuf);
+      const std::uint8_t* b = stride == 1 ? p : gbuf;
       const __m256i pop = byte_popcount256(v);
 
       std::uint32_t s32;
@@ -186,85 +315,91 @@ class Avx2Kernel final : public KernelVariant {
       }
     }
 
-    state.last = dbi::Beat{static_cast<dbi::Word>(prev_tx), prev_dbi};
-    for (; i < bursts; ++i, p += std::size_t{8} * stride) {
-      BurstResult r;
-      if (stride == 1) {
-        r = kernels::encode_burst8(rule, kernels::ByteBeats{p, 8}, state);
-      } else {
-        r = kernels::encode_burst8(rule, kernels::StridedBeats{p, 8, stride},
-                                   state);
-      }
-      totals += r.stats;
-      if (results) results[i * results_stride] = r;
-    }
+    if (bursts > 0)
+      state.last = dbi::Beat{static_cast<dbi::Word>(prev_tx), prev_dbi};
     return totals;
   }
 
-  void decode_fixed8(const std::uint8_t* tx, const std::uint64_t* masks,
-                     std::size_t bursts, const dbi::BusConfig& cfg,
-                     std::uint8_t* out) const override {
-    if (cfg.width != 8 || cfg.burst_length % 8 != 0) {
-      portable_kernel().decode_fixed8(tx, masks, bursts, cfg, out);
-      return;
-    }
-    const auto bpb = static_cast<std::size_t>(cfg.burst_length) / 8;
-    const std::size_t blocks = bursts * bpb;
-    std::size_t bk = 0;
-    for (; bk + 4 <= blocks; bk += 4) {
-      std::uint32_t m32 = 0;
-      for (std::size_t j = 0; j < 4; ++j) {
-        const std::size_t block = bk + j;
-        m32 |= static_cast<std::uint32_t>(
-                   (masks[block / bpb] >> (8 * (block % bpb))) & 0xFFULL)
-               << (8 * j);
-      }
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tx + bk * 8));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + bk * 8),
-                          _mm256_xor_si256(v, spread_mask32(m32)));
-    }
-    for (; bk < blocks; ++bk) {
-      const std::uint64_t inv = kernels::spread_bits_to_bytes(
-          (masks[bk / bpb] >> (8 * (bk % bpb))) & 0xFFULL);
-      std::uint64_t p = 0;
-      std::memcpy(&p, tx + bk * 8, 8);
-      p ^= inv;
-      std::memcpy(out + bk * 8, &p, 8);
-    }
-  }
+  /// Per-burst-reset vector loop over `bursts` (a multiple of 4) BL8
+  /// bursts: the 4 bursts of a ymm are independent (see
+  /// kernel_avx512.cpp for the identities — AC's beat-0 flag is the DC
+  /// flag, a per-byte SWAR prefix-XOR scan, 0xFF shifted into beat 0).
+  static dbi::BurstStats encode_reset(Fixed8Rule rule,
+                                      const std::uint8_t* bytes,
+                                      std::size_t bursts, int stride,
+                                      dbi::BusState& state,
+                                      BurstResult* results,
+                                      std::size_t results_stride) {
+    constexpr std::uint32_t k01 = 0x01010101U;
+    constexpr std::uint32_t kFE = 0xFEFEFEFEU;
+    const __m256i zero = _mm256_setzero_si256();
+    const __m256i one = _mm256_set1_epi8(1);
+    const __m256i eight = _mm256_set1_epi8(8);
+    const __m256i beat0_ff = _mm256_set1_epi64x(0xFF);
 
-  void decode_wide8(std::uint8_t* data, const std::uint64_t* masks,
-                    std::size_t bursts, int burst_length) const override {
-    if (burst_length % 8 != 0) {
-      portable_kernel().decode_wide8(data, masks, bursts, burst_length);
-      return;
-    }
-    // Transpose 8 group-mask bytes per 8-beat chunk (see
-    // kernel_avx512.cpp), then spread the 64 flag bits as two ymm halves
-    // over the beat-major payload.
-    const int bl = burst_length;
-    const auto bb = static_cast<std::size_t>(bl) * 8;
-    for (std::size_t i = 0; i < bursts; ++i) {
-      const std::uint64_t* mk = masks + i * 8;
-      std::uint8_t* base = data + i * bb;
-      for (int t0 = 0; t0 < bl; t0 += 8) {
-        std::uint64_t m8 = 0;
-        for (int g = 0; g < 8; ++g)
-          m8 |= ((mk[g] >> t0) & 0xFFULL) << (8 * g);
-        const std::uint64_t tile = transpose8(m8);
-        std::uint8_t* p = base + static_cast<std::size_t>(t0) * 8;
-        for (int half = 0; half < 2; ++half) {
-          const auto bits =
-              static_cast<std::uint32_t>(tile >> (32 * half));
-          std::uint8_t* q = p + 32 * half;
-          const __m256i v =
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q));
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(q),
-                              _mm256_xor_si256(v, spread_mask32(bits)));
-        }
+    alignas(32) std::uint8_t gbuf[32];
+    alignas(32) std::uint64_t zq[4];
+    alignas(32) std::uint64_t tq[4];
+    __m256i zsum = zero;
+    __m256i tsum = zero;
+    std::int64_t dbi_total = 0;  // DBI toggles, counted from the flags
+    __m256i tx = zero;
+    std::uint32_t s32 = 0;
+    const std::uint8_t* p = bytes;
+
+    for (std::size_t i = 0; i < bursts; i += 4, p += std::size_t{32} * stride) {
+      const __m256i v = load_beats32(p, stride, gbuf);
+      const __m256i pop = byte_popcount256(v);
+      // DC flags (pop <= 3): signed compare is safe, popcounts are 0..8.
+      const auto dc = static_cast<std::uint32_t>(_mm256_movemask_epi8(
+          _mm256_cmpgt_epi8(_mm256_set1_epi8(4), pop)));
+      if (rule == Fixed8Rule::kDc) {
+        s32 = dc;
+      } else {
+        const __m256i h =
+            byte_popcount256(_mm256_xor_si256(v, _mm256_slli_epi64(v, 8)));
+        const auto g = static_cast<std::uint32_t>(_mm256_movemask_epi8(
+            _mm256_cmpgt_epi8(h, _mm256_set1_epi8(4))));
+        s32 = static_cast<std::uint32_t>(
+            kernels::bytewise_prefix_xor((g & ~k01) | (dc & k01)));
+      }
+      const __m256i inv = spread_mask32(s32);
+      tx = _mm256_xor_si256(v, inv);
+      // Zeros per beat: popcount(b) + 1 (DBI low) inverted, else
+      // 8 - popcount(b); DQ transitions against 0xFF before beat 0.
+      const __m256i zb = _mm256_blendv_epi8(_mm256_sub_epi8(eight, pop),
+                                            _mm256_add_epi8(pop, one), inv);
+      const __m256i prev = _mm256_or_si256(_mm256_slli_epi64(tx, 8), beat0_ff);
+      const __m256i tb = byte_popcount256(_mm256_xor_si256(tx, prev));
+      const std::uint32_t dbi_t = s32 ^ ((s32 << 1) & kFE);
+      const __m256i zv = _mm256_sad_epu8(zb, zero);
+      const __m256i tv = _mm256_sad_epu8(tb, zero);
+      zsum = _mm256_add_epi64(zsum, zv);
+      tsum = _mm256_add_epi64(tsum, tv);
+      dbi_total += std::popcount(dbi_t);
+      if (results) {
+        _mm256_store_si256(reinterpret_cast<__m256i*>(zq), zv);
+        _mm256_store_si256(reinterpret_cast<__m256i*>(tq), tv);
+        BurstResult* r = results + i * results_stride;
+        for (int j = 0; j < 4; ++j, r += results_stride)
+          *r = BurstResult{
+              (s32 >> (8 * j)) & 0xFFU,
+              dbi::BurstStats{
+                  static_cast<int>(zq[j]),
+                  static_cast<int>(tq[j]) +
+                      std::popcount((dbi_t >> (8 * j)) & 0xFFU)}};
       }
     }
+
+    if (bursts > 0)
+      state.last = dbi::Beat{
+          static_cast<dbi::Word>(_mm256_extract_epi8(tx, 31) & 0xFF),
+          (s32 >> 31) == 0};
+    _mm256_store_si256(reinterpret_cast<__m256i*>(zq), zsum);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(tq), tsum);
+    return dbi::BurstStats{
+        static_cast<int>(zq[0] + zq[1] + zq[2] + zq[3]),
+        static_cast<int>(tq[0] + tq[1] + tq[2] + tq[3] + dbi_total)};
   }
 };
 

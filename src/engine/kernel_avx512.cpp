@@ -10,12 +10,18 @@
 //     zmm. Per-byte popcounts via the nibble LUT + shuffle, decision
 //     flags straight into __mmask64 compares, mask -> 0xFF lane spread
 //     with vpmovm2b, per-burst ones/transition counts from vpsadbw
-//     against the byte-shifted stream. The AC beat-0 boundary (previous
-//     transmitted byte + DBI value) and the 8-bit decision prefix XOR
-//     stay scalar per burst: that recurrence is serial across bursts by
-//     construction, but it is ~10 cheap ops against a vectorised rest.
+//     against the byte-shifted stream. With threaded state the AC
+//     beat-0 boundary (previous transmitted byte + DBI value) and the
+//     8-bit decision prefix XOR stay scalar per burst: that recurrence
+//     is serial across bursts by construction, but it is ~10 cheap ops
+//     against a vectorised rest. Under per-burst reset the 8 bursts are
+//     independent and the whole block stays in vector registers (see
+//     encode_reset). x64 group slices (stride 8) load with vpmovqb
+//     narrowing instead of a byte gather.
 //   * decode_fixed8: width 8, burst_length % 8 == 0 — mask bits to XOR
-//     bytes with vpmovm2b, 64 transmitted bytes per step.
+//     bytes with vpmovm2b, 64 transmitted bytes per step. At burst
+//     length 8 one vpmovqb packs 8 masks' flag bytes; longer bursts
+//     collect their blocks' flag bytes burst-major.
 //   * decode_wide8: burst_length % 8 == 0 — the 8x8 mask-tile transpose
 //     feeds vpmovm2b directly, one zmm per 8 wide beats.
 //
@@ -53,6 +59,35 @@ inline __m512i byte_popcount512(__m512i v) {
                          _mm512_shuffle_epi8(lut, hi));
 }
 
+/// 64 beats of one byte group read at `stride` (1 = contiguous, else
+/// one group slice of a wide beat-major payload), beat k in byte k.
+/// At stride 8 (x64) vpmovqb narrows eight 64-byte loads to their low
+/// byte per qword; the last load is masked to end at the slice's last
+/// beat, so it never reads past the payload. Other strides gather
+/// through `scratch` (64 bytes).
+inline __m512i load_beats64(const std::uint8_t* p, int stride,
+                            std::uint8_t* scratch) {
+  if (stride == 1) return _mm512_loadu_si512(p);
+  if (stride == 8) {
+    __m128i q[8];
+    for (int j = 0; j < 7; ++j)
+      q[j] = _mm512_maskz_cvtepi64_epi8(0xFF, _mm512_loadu_si512(p + 64 * j));
+    q[7] = _mm512_maskz_cvtepi64_epi8(
+        0xFF, _mm512_maskz_loadu_epi8(~std::uint64_t{0} >> 7, p + 448));
+    const __m256i lo = _mm256_inserti128_si256(
+        _mm256_castsi128_si256(_mm_unpacklo_epi64(q[0], q[1])),
+        _mm_unpacklo_epi64(q[2], q[3]), 1);
+    const __m256i hi = _mm256_inserti128_si256(
+        _mm256_castsi128_si256(_mm_unpacklo_epi64(q[4], q[5])),
+        _mm_unpacklo_epi64(q[6], q[7]), 1);
+    return _mm512_maskz_inserti64x4(0xFF, _mm512_castsi256_si512(lo), hi, 1);
+  }
+  for (int k = 0; k < 64; ++k)
+    scratch[k] =
+        p[static_cast<std::size_t>(k) * static_cast<std::size_t>(stride)];
+  return _mm512_loadu_si512(scratch);
+}
+
 /// 8-bit in-register prefix XOR: bit k of the result = XOR of bits 0..k.
 inline std::uint8_t prefix_xor8(std::uint8_t g) {
   g = static_cast<std::uint8_t>(g ^ (g << 1));
@@ -87,22 +122,136 @@ class Avx512Kernel final : public KernelVariant {
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
                                 std::size_t bursts, int burst_length,
-                                int stride, dbi::BusState& state,
-                                BurstResult* results,
+                                int stride, bool reset_per_burst,
+                                dbi::BusState& state, BurstResult* results,
                                 std::size_t results_stride) const override {
-    if (burst_length != 8 || rule == Fixed8Rule::kRaw) {
-      // Outside the vector envelope (callers normally pre-check with
-      // supports_fixed8): portable reference.
-      return portable_kernel().encode_fixed8(rule, bytes, bursts, burst_length,
-                                             stride, state, results,
-                                             results_stride);
+    std::size_t vec = 0;  // bursts the vector loops take, 8 per zmm
+    dbi::BurstStats totals;
+    // Outside the vector envelope (callers normally pre-check with
+    // supports_fixed8) everything goes to the portable reference.
+    if (burst_length == 8 && rule != Fixed8Rule::kRaw) {
+      vec = bursts & ~std::size_t{7};
+      totals = reset_per_burst
+                   ? encode_reset(rule, bytes, vec, stride, state, results,
+                                  results_stride)
+                   : encode_threaded(rule, bytes, vec, stride, state,
+                                     results, results_stride);
     }
+    // Tail bursts (< 8): the portable per-burst kernel, carrying the
+    // state the vector loop left — bit-exact by construction.
+    const auto bb = static_cast<std::size_t>(burst_length) *
+                    static_cast<std::size_t>(stride);
+    return totals + portable_kernel().encode_fixed8(
+                        rule, bytes + vec * bb, bursts - vec, burst_length,
+                        stride, reset_per_burst, state,
+                        results ? results + vec * results_stride : nullptr,
+                        results_stride);
+  }
 
+  void decode_fixed8(const std::uint8_t* tx, const std::uint64_t* masks,
+                     std::size_t bursts, const dbi::BusConfig& cfg,
+                     std::uint8_t* out) const override {
+    if (cfg.width != 8 || cfg.burst_length % 8 != 0) {
+      portable_kernel().decode_fixed8(tx, masks, bursts, cfg, out);
+      return;
+    }
+    // Width 8: every 8 consecutive transmitted bytes are one 8-beat
+    // block whose flags are one byte of its burst's mask. Eight blocks
+    // make a zmm regardless of where the burst boundaries fall.
+    if (cfg.burst_length == 8) {
+      // One block per burst: vpmovqb packs the low byte of 8
+      // consecutive masks into the zmm's 64 lane flags.
+      std::size_t i = 0;
+      for (; i + 8 <= bursts; i += 8) {
+        const __m512i m = _mm512_loadu_si512(masks + i);
+        const auto m64 = static_cast<std::uint64_t>(
+            _mm_cvtsi128_si64(_mm512_maskz_cvtepi64_epi8(0xFF, m)));
+        xor_block64(tx + i * 8, m64, out + i * 8);
+      }
+      for (; i < bursts; ++i) xor_block8(tx + i * 8, masks[i], out + i * 8);
+      return;
+    }
+    // Longer bursts, burst-major: each burst's mask bytes are its
+    // blocks' flags in order, gathered 8 at a time across bursts.
+    const int bpb = cfg.burst_length / 8;
+    std::uint64_t m64 = 0;
+    int have = 0;  // blocks gathered into m64
+    std::size_t bk = 0;  // first block of the pending zmm
+    for (std::size_t i = 0; i < bursts; ++i) {
+      std::uint64_t m = masks[i];
+      for (int t = 0; t < bpb; ++t, m >>= 8) {
+        m64 |= (m & 0xFFULL) << (8 * have);
+        if (++have == 8) {
+          xor_block64(tx + bk * 8, m64, out + bk * 8);
+          bk += 8;
+          m64 = 0;
+          have = 0;
+        }
+      }
+    }
+    for (int k = 0; k < have; ++k, ++bk, m64 >>= 8)
+      xor_block8(tx + bk * 8, m64, out + bk * 8);
+  }
+
+  void decode_wide8(std::uint8_t* data, const std::uint64_t* masks,
+                    std::size_t bursts, int burst_length) const override {
+    if (burst_length % 8 != 0) {
+      portable_kernel().decode_wide8(data, masks, bursts, burst_length);
+      return;
+    }
+    // Full 8-group beats: transposing the 8 group-mask bytes of an
+    // 8-beat chunk yields, bit (8k + g), "invert group g of beat k" —
+    // exactly vpmovm2b's lane order over the beat-major payload.
+    const int bl = burst_length;
+    const auto bb = static_cast<std::size_t>(bl) * 8;
+    for (std::size_t i = 0; i < bursts; ++i) {
+      const std::uint64_t* mk = masks + i * 8;
+      std::uint8_t* base = data + i * bb;
+      for (int t0 = 0; t0 < bl; t0 += 8) {
+        std::uint64_t m8 = 0;
+        for (int g = 0; g < 8; ++g)
+          m8 |= ((mk[g] >> t0) & 0xFFULL) << (8 * g);
+        const std::uint64_t tile = transpose8(m8);
+        std::uint8_t* p = base + static_cast<std::size_t>(t0) * 8;
+        const __m512i v = _mm512_loadu_si512(p);
+        _mm512_storeu_si512(
+            p,
+            _mm512_xor_si512(v, _mm512_movm_epi8(static_cast<__mmask64>(tile))));
+      }
+    }
+  }
+
+ private:
+  /// 64 transmitted bytes XOR the 0xFF spread of their 64 flags.
+  static void xor_block64(const std::uint8_t* tx, std::uint64_t flags,
+                          std::uint8_t* out) {
+    const __m512i v = _mm512_loadu_si512(tx);
+    _mm512_storeu_si512(
+        out,
+        _mm512_xor_si512(v, _mm512_movm_epi8(static_cast<__mmask64>(flags))));
+  }
+
+  /// One 8-byte block XOR the spread of the low 8 flag bits.
+  static void xor_block8(const std::uint8_t* tx, std::uint64_t flags,
+                         std::uint8_t* out) {
+    std::uint64_t p = 0;
+    std::memcpy(&p, tx, 8);
+    p ^= kernels::spread_bits_to_bytes(flags & 0xFFULL);
+    std::memcpy(out, &p, 8);
+  }
+
+  /// Threaded-state vector loop over `bursts` (a multiple of 8) BL8
+  /// bursts; leaves `state` at the last burst's line values.
+  static dbi::BurstStats encode_threaded(Fixed8Rule rule,
+                                         const std::uint8_t* bytes,
+                                         std::size_t bursts, int stride,
+                                         dbi::BusState& state,
+                                         BurstResult* results,
+                                         std::size_t results_stride) {
     dbi::BurstStats totals;
     std::uint64_t prev_tx = state.last.dq & 0xFFU;
     bool prev_dbi = state.last.dbi;
     const std::uint8_t* p = bytes;
-    std::size_t i = 0;
 
     alignas(64) std::uint8_t gbuf[64];
     // Byte-shift-with-carry scratch for the transition stream: the
@@ -115,15 +264,13 @@ class Avx512Kernel final : public KernelVariant {
     alignas(64) std::uint64_t txpop[8];
     alignas(64) std::uint64_t adjpop[8];
 
-    for (; i + 8 <= bursts; i += 8, p += std::size_t{64} * stride) {
+    for (std::size_t i = 0; i < bursts; i += 8, p += std::size_t{64} * stride) {
+      const __m512i v = load_beats64(p, stride, gbuf);
       const std::uint8_t* b = p;
       if (stride != 1) {
-        for (int k = 0; k < 64; ++k)
-          gbuf[k] = p[static_cast<std::size_t>(k) *
-                      static_cast<std::size_t>(stride)];
+        _mm512_store_si512(gbuf, v);
         b = gbuf;
       }
-      const __m512i v = _mm512_loadu_si512(b);
       const __m512i pop = byte_popcount512(v);
 
       std::uint64_t s64;
@@ -203,84 +350,105 @@ class Avx512Kernel final : public KernelVariant {
       }
     }
 
-    state.last = dbi::Beat{static_cast<dbi::Word>(prev_tx), prev_dbi};
-    // Tail bursts (< 8): the shared portable per-burst kernel, carrying
-    // the threaded state — bit-exact by construction.
-    for (; i < bursts; ++i, p += std::size_t{8} * stride) {
-      BurstResult r;
-      if (stride == 1) {
-        r = kernels::encode_burst8(rule, kernels::ByteBeats{p, 8}, state);
-      } else {
-        r = kernels::encode_burst8(rule, kernels::StridedBeats{p, 8, stride},
-                                   state);
-      }
-      totals += r.stats;
-      if (results) results[i * results_stride] = r;
-    }
+    if (bursts > 0)
+      state.last = dbi::Beat{static_cast<dbi::Word>(prev_tx), prev_dbi};
     return totals;
   }
 
-  void decode_fixed8(const std::uint8_t* tx, const std::uint64_t* masks,
-                     std::size_t bursts, const dbi::BusConfig& cfg,
-                     std::uint8_t* out) const override {
-    if (cfg.width != 8 || cfg.burst_length % 8 != 0) {
-      portable_kernel().decode_fixed8(tx, masks, bursts, cfg, out);
-      return;
-    }
-    // Width 8: every 8 consecutive transmitted bytes are one 8-beat
-    // block whose flags are one byte of its burst's mask. Eight blocks
-    // make a zmm regardless of where the burst boundaries fall.
-    const auto bpb = static_cast<std::size_t>(cfg.burst_length) / 8;
-    const std::size_t blocks = bursts * bpb;
-    std::size_t bk = 0;
-    for (; bk + 8 <= blocks; bk += 8) {
-      std::uint64_t m64 = 0;
-      for (std::size_t j = 0; j < 8; ++j) {
-        const std::size_t block = bk + j;
-        m64 |= ((masks[block / bpb] >> (8 * (block % bpb))) & 0xFFULL)
-               << (8 * j);
-      }
-      const __m512i v = _mm512_loadu_si512(tx + bk * 8);
-      _mm512_storeu_si512(
-          out + bk * 8,
-          _mm512_xor_si512(v, _mm512_movm_epi8(static_cast<__mmask64>(m64))));
-    }
-    for (; bk < blocks; ++bk) {
-      const std::uint64_t inv = kernels::spread_bits_to_bytes(
-          (masks[bk / bpb] >> (8 * (bk % bpb))) & 0xFFULL);
-      std::uint64_t p = 0;
-      std::memcpy(&p, tx + bk * 8, 8);
-      p ^= inv;
-      std::memcpy(out + bk * 8, &p, 8);
-    }
-  }
+  /// Per-burst-reset vector loop over `bursts` (a multiple of 8) BL8
+  /// bursts. Every burst starts from (0xFF, DBI high), so the 8 bursts
+  /// of a zmm are independent and nothing carries between its qwords:
+  ///   * AC's beat-0 flag against (0xFF, DBI high) is 8 - popcount(b0)
+  ///     >= 5, i.e. popcount(b0) <= 3 — the DC flag, as in ACDC;
+  ///   * the 8-bit decision prefix XOR runs on all 64 flags at once as
+  ///     a 3-step per-byte SWAR scan;
+  ///   * the transition stream shifts 0xFF into each burst's beat 0.
+  /// Per-burst stats come from per-beat counts summed with vpsadbw.
+  static dbi::BurstStats encode_reset(Fixed8Rule rule,
+                                      const std::uint8_t* bytes,
+                                      std::size_t bursts, int stride,
+                                      dbi::BusState& state,
+                                      BurstResult* results,
+                                      std::size_t results_stride) {
+    using kernels::kL01;
+    constexpr std::uint64_t kLFE = 0xFEFEFEFEFEFEFEFEULL;
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i one = _mm512_set1_epi8(1);
+    const __m512i eight = _mm512_set1_epi8(8);
+    const __m512i beat0_ff = _mm512_set1_epi64(0xFF);
 
-  void decode_wide8(std::uint8_t* data, const std::uint64_t* masks,
-                    std::size_t bursts, int burst_length) const override {
-    if (burst_length % 8 != 0) {
-      portable_kernel().decode_wide8(data, masks, bursts, burst_length);
-      return;
-    }
-    // Full 8-group beats: transposing the 8 group-mask bytes of an
-    // 8-beat chunk yields, bit (8k + g), "invert group g of beat k" —
-    // exactly vpmovm2b's lane order over the beat-major payload.
-    const int bl = burst_length;
-    const auto bb = static_cast<std::size_t>(bl) * 8;
-    for (std::size_t i = 0; i < bursts; ++i) {
-      const std::uint64_t* mk = masks + i * 8;
-      std::uint8_t* base = data + i * bb;
-      for (int t0 = 0; t0 < bl; t0 += 8) {
-        std::uint64_t m8 = 0;
-        for (int g = 0; g < 8; ++g)
-          m8 |= ((mk[g] >> t0) & 0xFFULL) << (8 * g);
-        const std::uint64_t tile = transpose8(m8);
-        std::uint8_t* p = base + static_cast<std::size_t>(t0) * 8;
-        const __m512i v = _mm512_loadu_si512(p);
-        _mm512_storeu_si512(
-            p,
-            _mm512_xor_si512(v, _mm512_movm_epi8(static_cast<__mmask64>(tile))));
+    alignas(64) std::uint8_t gbuf[64];
+    alignas(64) std::uint64_t zq[8];
+    alignas(64) std::uint64_t tq[8];
+    __m512i zsum = zero;
+    __m512i tsum = zero;
+    __m512i tx = zero;
+    std::uint64_t s64 = 0;
+    const std::uint8_t* p = bytes;
+
+    for (std::size_t i = 0; i < bursts; i += 8, p += std::size_t{64} * stride) {
+      const __m512i v = load_beats64(p, stride, gbuf);
+      const __m512i pop = byte_popcount512(v);
+      const std::uint64_t dc = _mm512_cmple_epu8_mask(pop, _mm512_set1_epi8(3));
+      if (rule == Fixed8Rule::kDc) {
+        s64 = dc;
+      } else {
+        // Beats 1..7 against their raw predecessor (the in-qword shift
+        // leaves beat 0 garbage, replaced by the DC flag).
+        const __m512i h = byte_popcount512(
+            _mm512_xor_si512(v, _mm512_maskz_slli_epi64(0xFF, v, 8)));
+        const std::uint64_t g =
+            _mm512_cmp_epu8_mask(h, _mm512_set1_epi8(5), _MM_CMPINT_NLT);
+        s64 = kernels::bytewise_prefix_xor((g & ~kL01) | (dc & kL01));
+      }
+      const auto k = static_cast<__mmask64>(s64);
+      tx = _mm512_xor_si512(v, _mm512_movm_epi8(k));
+
+      // Zeros per beat: an inverted beat sends popcount(b) zero DQ
+      // lines plus the low DBI line, a kept one 8 - popcount(b).
+      const __m512i zb = _mm512_mask_blend_epi8(
+          k, _mm512_sub_epi8(eight, pop), _mm512_add_epi8(pop, one));
+      // Transitions per beat: DQ toggles against the previous beat
+      // (0xFF before beat 0) plus a DBI toggle — DBI is !s and starts
+      // high, so beat 0 toggles iff s0, beat t iff s_t != s_(t-1).
+      const __m512i prev =
+          _mm512_or_si512(_mm512_maskz_slli_epi64(0xFF, tx, 8), beat0_ff);
+      const __m512i dq_t = byte_popcount512(_mm512_xor_si512(tx, prev));
+      const std::uint64_t dbi_t = s64 ^ ((s64 << 1) & kLFE);
+      const __m512i tb = _mm512_mask_add_epi8(
+          dq_t, static_cast<__mmask64>(dbi_t), dq_t, one);
+
+      const __m512i zv = _mm512_sad_epu8(zb, zero);
+      const __m512i tv = _mm512_sad_epu8(tb, zero);
+      zsum = _mm512_add_epi64(zsum, zv);
+      tsum = _mm512_add_epi64(tsum, tv);
+      if (results) {
+        _mm512_store_si512(zq, zv);
+        _mm512_store_si512(tq, tv);
+        BurstResult* r = results + i * results_stride;
+        for (int j = 0; j < 8; ++j, r += results_stride)
+          *r = BurstResult{(s64 >> (8 * j)) & 0xFFU,
+                           dbi::BurstStats{static_cast<int>(zq[j]),
+                                           static_cast<int>(tq[j])}};
       }
     }
+
+    if (bursts > 0) {
+      // The last burst's last beat: byte 63 of the final block.
+      const auto last_tx = static_cast<std::uint8_t>(
+          _mm_extract_epi8(_mm512_maskz_extracti32x4_epi32(0xF, tx, 3), 15));
+      state.last = dbi::Beat{last_tx, (s64 >> 63) == 0};
+    }
+    _mm512_store_si512(zq, zsum);
+    _mm512_store_si512(tq, tsum);
+    std::uint64_t zeros = 0;
+    std::uint64_t transitions = 0;
+    for (int j = 0; j < 8; ++j) {
+      zeros += zq[j];
+      transitions += tq[j];
+    }
+    return dbi::BurstStats{static_cast<int>(zeros),
+                           static_cast<int>(transitions)};
   }
 };
 

@@ -43,12 +43,12 @@ class NeonKernel final : public KernelVariant {
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
                                 std::size_t bursts, int burst_length,
-                                int stride, dbi::BusState& state,
-                                BurstResult* results,
+                                int stride, bool reset_per_burst,
+                                dbi::BusState& state, BurstResult* results,
                                 std::size_t results_stride) const override {
     return portable_kernel().encode_fixed8(rule, bytes, bursts, burst_length,
-                                           stride, state, results,
-                                           results_stride);
+                                           stride, reset_per_burst, state,
+                                           results, results_stride);
   }
 
   void decode_fixed8(const std::uint8_t* tx, const std::uint64_t* masks,
@@ -60,14 +60,17 @@ class NeonKernel final : public KernelVariant {
     }
     // One 8-beat block per 64-bit vector: vtst(mask byte, bit k) gives
     // the 0xFF lanes to XOR, the NEON twin of spread_bits_to_bytes.
+    // Burst-major: burst i's mask bytes are its blocks' flags in order.
     const uint8x8_t sel = {1, 2, 4, 8, 16, 32, 64, 128};
-    const auto bpb = static_cast<std::size_t>(cfg.burst_length) / 8;
-    const std::size_t blocks = bursts * bpb;
-    for (std::size_t bk = 0; bk < blocks; ++bk) {
-      const auto mb = static_cast<std::uint8_t>(
-          (masks[bk / bpb] >> (8 * (bk % bpb))) & 0xFFULL);
-      const uint8x8_t inv = vtst_u8(vdup_n_u8(mb), sel);
-      vst1_u8(out + bk * 8, veor_u8(vld1_u8(tx + bk * 8), inv));
+    const int bpb = cfg.burst_length / 8;
+    std::size_t off = 0;
+    for (std::size_t i = 0; i < bursts; ++i) {
+      std::uint64_t m = masks[i];
+      for (int t = 0; t < bpb; ++t, m >>= 8, off += 8) {
+        const auto mb = static_cast<std::uint8_t>(m & 0xFFULL);
+        const uint8x8_t inv = vtst_u8(vdup_n_u8(mb), sel);
+        vst1_u8(out + off, veor_u8(vld1_u8(tx + off), inv));
+      }
     }
   }
 

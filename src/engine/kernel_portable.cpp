@@ -39,14 +39,16 @@ class PortableKernel final : public KernelVariant {
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
                                 std::size_t bursts, int burst_length,
-                                int stride, dbi::BusState& state,
-                                BurstResult* results,
+                                int stride, bool reset_per_burst,
+                                dbi::BusState& state, BurstResult* results,
                                 std::size_t results_stride) const override {
     const auto burst_bytes = static_cast<std::size_t>(burst_length) *
                              static_cast<std::size_t>(stride);
     dbi::BurstStats totals;
     const std::uint8_t* p = bytes;
     for (std::size_t i = 0; i < bursts; ++i, p += burst_bytes) {
+      // Per-burst reset: BusState::all_ones of a width-8 group.
+      if (reset_per_burst) state.last = dbi::Beat{0xFF, true};
       BurstResult r;
       if (stride == 1) {
         r = kernels::encode_burst8(rule, kernels::ByteBeats{p, burst_length},

@@ -86,10 +86,15 @@ enum class Fixed8Rule { kRaw, kDc, kAc, kAcDc };
 ///   `burst_length` beats each, beat t of burst i read from
 ///   bytes[(i * burst_length + t) * stride] (stride 1 = the packed
 ///   narrow layout, stride = groups() = one group slice of a wide
-///   beat-major payload). Threads `state` through all bursts exactly
-///   like the SWAR reference, writes burst i's result to
-///   results[i * results_stride] when `results` is non-null, and
-///   returns the summed stats.
+///   beat-major payload). Without `reset_per_burst` it threads `state`
+///   through all bursts exactly like the SWAR reference. With it,
+///   every burst starts from the all-ones bus state (DQ 0xFF, DBI
+///   high: BusState::all_ones of a width-8 group, the paper's
+///   Section II boundary), so bursts are independent and the value of
+///   `state` on entry is ignored. Either way `state` ends at the last
+///   burst's line values (untouched when `bursts` is 0). Writes burst
+///   i's result to results[i * results_stride] when `results` is
+///   non-null, and returns the summed stats.
 ///
 ///   decode_fixed8: byte-per-beat masked-XOR decode (BusConfig widths
 ///   1..8): XORs dq_mask into every flagged beat of each burst; `out`
@@ -123,7 +128,8 @@ class KernelVariant {
   virtual dbi::BurstStats encode_fixed8(Fixed8Rule rule,
                                         const std::uint8_t* bytes,
                                         std::size_t bursts, int burst_length,
-                                        int stride, dbi::BusState& state,
+                                        int stride, bool reset_per_burst,
+                                        dbi::BusState& state,
                                         BurstResult* results,
                                         std::size_t results_stride) const = 0;
   virtual void decode_fixed8(const std::uint8_t* tx,

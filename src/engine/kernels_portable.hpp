@@ -78,6 +78,17 @@ constexpr std::uint64_t byte_prefix_xor(std::uint64_t v) {
   return v;
 }
 
+/// Bit-granular prefix XOR inside every byte: bit k of byte j of the
+/// result = XOR of bits 0..k of byte j. With one decision flag per beat
+/// and one byte per 8-beat burst, this is the AC decision scan of 8
+/// independent bursts at once (per-burst reset: no carry between them).
+constexpr std::uint64_t bytewise_prefix_xor(std::uint64_t v) {
+  v ^= (v << 1) & 0xFEFEFEFEFEFEFEFEULL;
+  v ^= (v << 2) & 0xFCFCFCFCFCFCFCFCULL;
+  v ^= (v << 4) & 0xF0F0F0F0F0F0F0F0ULL;
+  return v;
+}
+
 /// Beat sources for the packed kernels: all expose size(), operator[]
 /// and pack8(i0, m) — up to 8 consecutive beats' low bytes packed into
 /// one 64-bit lane word, beat i0+k in byte k. pack8_col(i0, m, c) is

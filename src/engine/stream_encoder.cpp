@@ -111,7 +111,6 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
   const int L = opt_.lanes;
   StreamUnit& us = units_[static_cast<std::size_t>(unit)];
   dbi::BusState& state = states_[static_cast<std::size_t>(unit)];
-  const bool want_results = collect_results;
 
   // First chunk-local index owned by this lane (global index % L == lane).
   const auto base_mod =
@@ -161,47 +160,31 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
     }
     bytes = us.bytes;
   }
-  if (want_results) {
-    us.results.resize(mine);
-    us.positions.clear();
-    for (std::size_t j = j0; j < count; j += static_cast<std::size_t>(L))
-      us.positions.push_back(j);
-  }
-
-  auto encode_block = [&](std::span<const std::uint8_t> block_bytes,
-                          BurstResult* results) {
-    return in_place_wide
-               ? encoder_.encode_packed_group(block_bytes, wcfg_, group,
-                                              state, results)
-               : encoder_.encode_packed(block_bytes, cfg, state, results);
-  };
+  // Results land straight in chunk order: this unit's k-th burst is
+  // chunk burst j0 + k * L, group `group`.
+  const auto results_stride =
+      static_cast<std::size_t>(L) * static_cast<std::size_t>(groups_);
+  BurstResult* results =
+      collect_results ? chunk_results_.data() +
+                            j0 * static_cast<std::size_t>(groups_) +
+                            static_cast<std::size_t>(group)
+                      : nullptr;
   const std::size_t step = in_place_wide ? bb : slice_bb;
-
-  if (opt_.reset_state_per_burst) {
-    for (std::size_t k = 0; k < mine; ++k) {
-      state = dbi::BusState::all_ones(cfg);
-      const dbi::BurstStats s =
-          encode_block(bytes.subspan(k * step, step),
-                       want_results ? &us.results[k] : nullptr);
-      us.zeros += s.zeros;
-      us.transitions += s.transitions;
-    }
-  } else {
-    for (std::size_t k0 = 0; k0 < mine; k0 += kAccumBlockBursts) {
-      const std::size_t block = std::min(kAccumBlockBursts, mine - k0);
-      const dbi::BurstStats s =
-          encode_block(bytes.subspan(k0 * step, block * step),
-                       want_results ? us.results.data() + k0 : nullptr);
-      us.zeros += s.zeros;
-      us.transitions += s.transitions;
-    }
-  }
-
-  if (want_results) {
-    const auto g = static_cast<std::size_t>(groups_);
-    for (std::size_t k = 0; k < mine; ++k)
-      chunk_results_[us.positions[k] * g + static_cast<std::size_t>(group)] =
-          us.results[k];
+  const bool reset = opt_.reset_state_per_burst;
+  for (std::size_t k0 = 0; k0 < mine; k0 += kAccumBlockBursts) {
+    const std::size_t block = std::min(kAccumBlockBursts, mine - k0);
+    const auto block_bytes = bytes.subspan(k0 * step, block * step);
+    BurstResult* block_results =
+        results ? results + k0 * results_stride : nullptr;
+    const dbi::BurstStats s =
+        in_place_wide
+            ? encoder_.encode_packed_group(block_bytes, wcfg_, group, state,
+                                           block_results, results_stride,
+                                           reset)
+            : encoder_.encode_packed(block_bytes, cfg, state, block_results,
+                                     results_stride, reset);
+    us.zeros += s.zeros;
+    us.transitions += s.transitions;
   }
 }
 

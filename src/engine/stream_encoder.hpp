@@ -11,7 +11,11 @@
 // across 8 workers. Totals accumulate in 64-bit counters internally
 // (chunks of any size are block-split so BurstStats's int fields never
 // overflow), and single-lane streams are encoded in place with zero
-// copy (wide groups read their bytes at stride groups()).
+// copy (wide groups read their bytes at stride groups()). Each unit
+// makes one BatchEncoder call per accumulation block under either
+// state policy — per-burst reset is a flag the kernels honour, not a
+// per-burst loop — and collected results are written by the kernels
+// straight into chunk order at stride lanes x groups.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +45,12 @@ struct StreamEncodeOptions {
   void validate() const;
 };
 
-/// One shard unit's scratch: gathered payload slice, per-unit results
-/// staging, and the unit's 64-bit totals.
+/// One shard unit's scratch: the gathered payload slice (multi-lane
+/// streams only) and the unit's 64-bit totals. Results need no per-unit
+/// staging: the kernels write each unit's bursts straight into the
+/// chunk-order result array at stride lanes x groups.
 struct StreamUnit {
-  std::vector<std::uint8_t> bytes;   // gathered packed slice
-  std::vector<BurstResult> results;  // only when collecting results
-  std::vector<std::size_t> positions;  // chunk-order burst slots
+  std::vector<std::uint8_t> bytes;  // gathered packed slice
   std::int64_t zeros = 0;
   std::int64_t transitions = 0;
 };

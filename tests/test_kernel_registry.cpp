@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/kernels.hpp"
@@ -16,6 +18,7 @@
 #include "engine/batch_encoder.hpp"
 #include "engine/kernel_registry.hpp"
 #include "engine/shard_pool.hpp"
+#include "engine/stream_encoder.hpp"
 #include "workload/rng.hpp"
 
 namespace dbi {
@@ -240,12 +243,268 @@ TEST(KernelParity, WidePackedAllVariantsAcrossGeometries) {
     }
 }
 
+// ------------------------------------------- per-burst reset kernels
+
+/// The scalar core encoder's results for burst i of a width-8 group
+/// slice (beat t at bytes[(i * bl + t) * stride]), each burst starting
+/// from the all-ones state under `reset`, else threaded from `state`.
+std::vector<engine::BurstResult> scalar_group_results(
+    Scheme scheme, const std::uint8_t* bytes, std::size_t bursts, int bl,
+    int stride, bool reset, BusState& state) {
+  const BusConfig cfg{8, bl};
+  const auto scalar = make_encoder(scheme);
+  std::vector<engine::BurstResult> out;
+  std::vector<Word> words(static_cast<std::size_t>(bl));
+  for (std::size_t i = 0; i < bursts; ++i) {
+    if (reset) state = BusState::all_ones(cfg);
+    for (int t = 0; t < bl; ++t)
+      words[static_cast<std::size_t>(t)] =
+          bytes[(i * static_cast<std::size_t>(bl) +
+                 static_cast<std::size_t>(t)) *
+                static_cast<std::size_t>(stride)];
+    const EncodedBurst e = scalar->encode(Burst(cfg, words), state);
+    out.push_back({e.inversion_mask(), e.stats(state)});
+    state = e.final_state();
+  }
+  return out;
+}
+
+TEST(KernelParity, Fixed8ResetAndStrideMatchSwarAndScalar) {
+  // Every burst count up to two 8-wide vector blocks plus each tail
+  // length, contiguous and strided group slices (the first and last
+  // group of each stride, so vector loads end exactly at the payload's
+  // last byte), and result strides 1 and 3 (untouched slots must keep
+  // their sentinel).
+  constexpr std::pair<Scheme, engine::Fixed8Rule> kRules[] = {
+      {Scheme::kRaw, engine::Fixed8Rule::kRaw},
+      {Scheme::kDc, engine::Fixed8Rule::kDc},
+      {Scheme::kAc, engine::Fixed8Rule::kAc},
+      {Scheme::kAcDc, engine::Fixed8Rule::kAcDc}};
+  const engine::BurstResult sentinel{~std::uint64_t{0}, BurstStats{-1, -1}};
+  const BusState entry{Beat{0x5A, false}};  // ignored under reset
+  for (const KernelVariant* v : usable_variants())
+    for (const auto& [scheme, rule] : kRules)
+      for (const bool reset : {false, true})
+        for (const int stride : {1, 2, 3, 4, 8})
+          for (const int group : {0, stride - 1})
+            for (std::size_t bursts = 0; bursts <= 17; ++bursts)
+              for (const std::size_t rs : {std::size_t{1}, std::size_t{3}}) {
+                // Sized exactly, so an over-reading vector load trips
+                // the sanitizer builds.
+                const auto bytes = random_bytes(
+                    bursts * 8 * static_cast<std::size_t>(stride),
+                    1000 + bursts * 16 + static_cast<std::size_t>(stride));
+                const std::uint8_t* slice = bytes.data() + group;
+
+                BusState want_state = entry;
+                const auto want = scalar_group_results(
+                    scheme, slice, bursts, 8, stride, reset, want_state);
+                BurstStats want_totals;
+                for (const auto& r : want) want_totals += r.stats;
+
+                BusState swar_state = entry;
+                std::vector<engine::BurstResult> swar(bursts * rs, sentinel);
+                const BurstStats swar_totals =
+                    engine::portable_kernel().encode_fixed8(
+                        rule, slice, bursts, 8, stride, reset, swar_state,
+                        swar.data(), rs);
+
+                BusState got_state = entry;
+                std::vector<engine::BurstResult> got(bursts * rs, sentinel);
+                const BurstStats got_totals =
+                    v->encode_fixed8(rule, slice, bursts, 8, stride, reset,
+                                     got_state, got.data(), rs);
+                // Stats-only calls agree with the collecting ones.
+                BusState quiet_state = entry;
+                const BurstStats quiet_totals =
+                    v->encode_fixed8(rule, slice, bursts, 8, stride, reset,
+                                     quiet_state, nullptr, rs);
+
+                const std::string ctx =
+                    std::string(v->name()) + " " +
+                    std::string(scheme_name(scheme)) +
+                    (reset ? " reset" : " threaded") + " stride " +
+                    std::to_string(stride) + " group " +
+                    std::to_string(group) + " bursts " +
+                    std::to_string(bursts) + " rs " + std::to_string(rs);
+                ASSERT_EQ(got_totals, want_totals) << ctx;
+                ASSERT_EQ(swar_totals, want_totals) << ctx;
+                ASSERT_EQ(quiet_totals, want_totals) << ctx;
+                ASSERT_EQ(got_state, want_state) << ctx;
+                ASSERT_EQ(swar_state, want_state) << ctx;
+                ASSERT_EQ(quiet_state, want_state) << ctx;
+                for (std::size_t i = 0; i < bursts * rs; ++i) {
+                  const engine::BurstResult& expect =
+                      i % rs == 0 ? want[i / rs] : sentinel;
+                  ASSERT_EQ(got[i], expect) << ctx << " slot " << i;
+                  ASSERT_EQ(swar[i], expect) << ctx << " slot " << i;
+                }
+              }
+}
+
+TEST(KernelParity, PackedResetFallbacksHonourTheFlag) {
+  // Geometries outside every vector envelope (trellis schemes, BL12,
+  // a width-5 bit-plane group, a remainder wide group) take the
+  // BatchEncoder's per-burst loops, which must reset just the same.
+  const auto check = [](Scheme scheme, const BusConfig& cfg) {
+    engine::BatchEncoder enc(scheme);
+    const int bursts = 11;
+    const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
+    auto bytes = random_bytes(static_cast<std::size_t>(bursts) * bb, 77);
+    for (auto& b : bytes) b &= static_cast<std::uint8_t>(cfg.dq_mask());
+    std::vector<engine::BurstResult> got(static_cast<std::size_t>(bursts) * 2);
+    BusState state = BusState::all_zeros();
+    const BurstStats totals =
+        enc.encode_packed(bytes, cfg, state, got.data(), 2, true);
+
+    const auto scalar = make_encoder(scheme);
+    BusState want_state;
+    BurstStats want_totals;
+    for (int i = 0; i < bursts; ++i) {
+      want_state = BusState::all_ones(cfg);
+      std::vector<Word> words(bytes.begin() + i * static_cast<int>(bb),
+                              bytes.begin() + (i + 1) * static_cast<int>(bb));
+      const EncodedBurst e = scalar->encode(Burst(cfg, words), want_state);
+      const engine::BurstResult want{e.inversion_mask(), e.stats(want_state)};
+      want_totals += want.stats;
+      want_state = e.final_state();
+      ASSERT_EQ(got[static_cast<std::size_t>(i) * 2], want)
+          << scheme_name(scheme) << " width " << cfg.width << " bl "
+          << cfg.burst_length << " burst " << i;
+    }
+    EXPECT_EQ(totals, want_totals) << scheme_name(scheme);
+    EXPECT_EQ(state, want_state) << scheme_name(scheme);
+  };
+  check(Scheme::kOpt, BusConfig{8, 8});
+  check(Scheme::kOptFixed, BusConfig{8, 8});
+  check(Scheme::kAc, BusConfig{8, 12});
+  check(Scheme::kAcDc, BusConfig{5, 8});
+
+  // Wide remainder group (width 12: group 1 is 4 lines wide).
+  const WideBusConfig wcfg{12, 8};
+  engine::BatchEncoder enc(Scheme::kAc);
+  auto bytes =
+      random_bytes(9 * static_cast<std::size_t>(wcfg.bytes_per_burst()), 79);
+  for (std::size_t i = 1; i < bytes.size(); i += 2)
+    bytes[i] &= static_cast<std::uint8_t>(wcfg.group_mask(1));
+  BusState state = BusState::all_zeros();
+  std::vector<engine::BurstResult> got(9);
+  (void)enc.encode_packed_group(bytes, wcfg, 1, state, got.data(), 1, true);
+  const auto scalar = make_encoder(Scheme::kAc);
+  const BusConfig gcfg = wcfg.group_config(1);
+  for (std::size_t i = 0; i < 9; ++i) {
+    BusState s = BusState::all_ones(gcfg);
+    std::vector<Word> words;
+    for (int t = 0; t < 8; ++t)
+      words.push_back(bytes[(i * 8 + static_cast<std::size_t>(t)) * 2 + 1]);
+    const EncodedBurst e = scalar->encode(Burst(gcfg, words), s);
+    ASSERT_EQ(got[i].invert_mask, e.inversion_mask()) << "burst " << i;
+    ASSERT_EQ(got[i].stats, e.stats(s)) << "burst " << i;
+    if (i == 8) {
+      EXPECT_EQ(state, e.final_state());
+    }
+  }
+}
+
+/// StreamEncoder against the scalar core encoders: burst g belongs to
+/// lane g % lanes, every (lane, group) unit threads its own state (or
+/// restarts from all-ones per burst), results come back in chunk order.
+void expect_stream_parity(const KernelVariant& variant, Scheme scheme,
+                          bool wide, int lanes, bool reset, bool collect,
+                          engine::ShardPool* pool) {
+  const dbi::WideBusConfig wcfg{64, 8};
+  const BusConfig ncfg{8, 8};
+  const int groups = wide ? wcfg.groups() : 1;
+  const auto bb = static_cast<std::size_t>(wide ? wcfg.bytes_per_burst()
+                                                : ncfg.bytes_per_burst());
+  // Uneven chunks, so every chunk starts on a different lane phase.
+  const std::size_t chunks[] = {37, 1, 100, 8};
+  std::size_t total = 0;
+  for (const std::size_t c : chunks) total += c;
+  const auto bytes = random_bytes(total * bb, 600 + static_cast<int>(wide));
+
+  engine::BatchEncoder enc(scheme);
+  enc.set_kernel(variant);
+  engine::StreamEncodeOptions opt;
+  opt.lanes = lanes;
+  opt.reset_state_per_burst = reset;
+  opt.pool = pool;
+  const auto units = static_cast<std::size_t>(lanes * groups);
+  std::vector<BusState> states(units);
+  auto stream =
+      wide ? std::make_unique<engine::StreamEncoder>(enc, wcfg, opt, states)
+           : std::make_unique<engine::StreamEncoder>(enc, ncfg, opt, states);
+  stream->reset();
+
+  // Scalar reference, unit by unit.
+  std::vector<BusState> want_states(units, BusState::all_ones(ncfg));
+  std::vector<engine::BurstResult> want(total *
+                                        static_cast<std::size_t>(groups));
+  BurstStats want_totals;
+  for (std::size_t j = 0; j < total; ++j)
+    for (int g = 0; g < groups; ++g) {
+      const std::size_t u = (j % static_cast<std::size_t>(lanes)) *
+                                static_cast<std::size_t>(groups) +
+                            static_cast<std::size_t>(g);
+      const auto r = scalar_group_results(
+          scheme, bytes.data() + j * bb + static_cast<std::size_t>(g), 1, 8,
+          groups, reset, want_states[u]);
+      want[j * static_cast<std::size_t>(groups) +
+           static_cast<std::size_t>(g)] = r[0];
+      want_totals += r[0].stats;
+    }
+
+  const std::string ctx = std::string(variant.name()) + " " +
+                          std::string(scheme_name(scheme)) +
+                          (wide ? " x64" : " x8") +
+                          " lanes " + std::to_string(lanes) +
+                          (reset ? " reset" : " threaded") +
+                          (collect ? " results" : " stats") +
+                          (pool ? " pool" : " serial");
+  std::size_t first = 0;
+  for (const std::size_t c : chunks) {
+    const auto got = stream->encode_chunk(
+        static_cast<std::int64_t>(first),
+        std::span<const std::uint8_t>(bytes).subspan(first * bb, c * bb), c,
+        collect);
+    if (collect) {
+      ASSERT_EQ(got.size(), c * static_cast<std::size_t>(groups)) << ctx;
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], want[first * static_cast<std::size_t>(groups) + i])
+            << ctx << " chunk at " << first << " slot " << i;
+    } else {
+      ASSERT_TRUE(got.empty()) << ctx;
+    }
+    first += c;
+  }
+  EXPECT_EQ(stream->bursts(), static_cast<std::int64_t>(total)) << ctx;
+  EXPECT_EQ(stream->zeros(), want_totals.zeros) << ctx;
+  EXPECT_EQ(stream->transitions(), want_totals.transitions) << ctx;
+  for (std::size_t u = 0; u < units; ++u)
+    ASSERT_EQ(states[u], want_states[u]) << ctx << " unit " << u;
+}
+
+TEST(KernelParity, StreamEncoderMatchesScalarAcrossLanesAndPolicies) {
+  engine::ShardPool pool(3);
+  for (const KernelVariant* v : usable_variants())
+    for (const Scheme s : {Scheme::kDc, Scheme::kAc, Scheme::kAcDc})
+      for (const bool wide : {false, true})
+        for (const int lanes : {1, 3, 8})
+          for (const bool reset : {false, true})
+            for (const bool collect : {false, true})
+              for (engine::ShardPool* p : {static_cast<engine::ShardPool*>(
+                                               nullptr),
+                                           &pool})
+                expect_stream_parity(*v, s, wide, lanes, reset, collect, p);
+}
+
 // ------------------------------------------------------- decode parity
 
 TEST(KernelParity, NarrowDecodeAllVariantsMatchesPortableAndRoundTrips) {
   for (const KernelVariant* v : usable_variants())
-    for (const BusConfig cfg : {BusConfig{8, 8}, BusConfig{8, 16},
-                                BusConfig{8, 12}, BusConfig{5, 8}}) {
+    for (const BusConfig cfg :
+         {BusConfig{8, 8}, BusConfig{8, 16}, BusConfig{8, 24},
+          BusConfig{8, 64}, BusConfig{8, 12}, BusConfig{5, 8}}) {
       engine::BatchEncoder enc(Scheme::kAcDc);
       enc.set_kernel(engine::portable_kernel());
       engine::BatchDecoder ref;

@@ -53,7 +53,9 @@ FACADE_FLOOR = 0.98
 # Kernel-variant floors, vs the portable "swar" reference in the same
 # process: the SIMD fixed-scheme encode kernels must earn their keep
 # (>= 1.5x), and no variant the registry would auto-select may be
-# slower than the portable reference on any path it serves (>= 1x).
+# slower than the portable reference on any path it serves (>= 1x) —
+# the decode paths and the per-burst-reset x8 AC encode with results
+# ("reset") included.
 # Variants whose ISA the bench machine lacks are reported as
 # skipped-isa, never failed.
 KERNEL_ENCODE_FLOOR = 1.5
@@ -112,7 +114,7 @@ def extract_metrics(name: str, doc: dict) -> dict[str, float]:
             if row["kernel"] == "swar" or not row["available"]:
                 continue  # the reference itself / ISA absent on this host
             for path in ("encode_x8", "encode_wide_x64", "decode_x8",
-                         "decode_wide_x64"):
+                         "decode_wide_x64", "reset"):
                 metrics[f"kernel_vs_swar/{row['kernel']}/{path}"] = (
                     row[f"{path}_vs_swar"]
                 )
