@@ -388,12 +388,16 @@ DecodeReport run_decode_wide(Scheme scheme, int bursts, int repeats) {
 // measured on the hot paths it can serve — narrow x8 fixed-scheme
 // encode, wide x64 byte-group encode, x8 decode, wide x64 decode, and
 // the paper's per-burst-reset x8 AC encode with per-burst results
-// ("reset") — all through the public set_kernel dispatch, same
+// ("reset"), and the same shape through the OPT-Fixed and OPT trellis
+// ("trellis_reset") — all through the public set_kernel dispatch, same
 // payload, same threaded states. Ratios are reported against the
 // portable reference measured in the same process;
 // tools/bench_compare.py holds the SIMD encode_* ratios to a hard 1.5x
-// floor (and everything else, reset included, to >= 1x) on hardware
-// that has the ISA, and records a skipped-isa status where CI does not.
+// floor (and everything else, reset and trellis_reset included, to
+// >= 1x) on hardware that has the ISA, and records a skipped-isa status
+// where CI does not. A variant whose envelope does not cover the
+// trellis entry reports trellis_reset_vs_swar as null (it would only
+// time the portable fallback against itself).
 struct KernelCaseReport {
   const engine::KernelVariant* variant = nullptr;
   bool available = false;
@@ -402,6 +406,9 @@ struct KernelCaseReport {
   double decode_x8 = 0;
   double decode_wide_x64 = 0;
   double reset = 0;  // mega-bursts/s, x8 BL8 AC, per-burst reset + results
+  // mega-bursts/s, x8 BL8 OPT-Fixed then OPT, per-burst reset + results;
+  // 0 when the variant does not serve the trellis entry
+  double trellis_reset = 0;
 };
 
 struct KernelWorkload {
@@ -463,9 +470,16 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
   enc.set_kernel(k);
   engine::BatchEncoder ac(Scheme::kAc);
   ac.set_kernel(k);
+  engine::BatchEncoder opt_fixed(Scheme::kOptFixed);
+  opt_fixed.set_kernel(k);
+  engine::BatchEncoder opt(Scheme::kOpt, CostWeights{0.56, 0.44});
+  opt.set_kernel(k);
   engine::BatchDecoder dec;
   dec.set_kernel(k);
   std::vector<engine::BurstResult> results(wl.narrow_masks.size());
+  // The portable trellis runs ~20x below the fixed kernels; fewer
+  // repeats keep its trials short.
+  const int trellis_repeats = std::max(1, repeats / 4);
 
   // Best-of-3 trials per path: these ratios carry hard floors in the
   // CI gate, so the noise floor has to sit well under the tolerance.
@@ -540,6 +554,23 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
       const double dt = seconds_since(t0);
       if (sink == 42) std::puts("");
       rep.reset = std::max(rep.reset, bursts * repeats / dt / 1e6);
+    }
+    if (k.supports_trellis8(8, /*reset_per_burst=*/true)) {
+      std::int64_t sink = 0;
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int r = 0; r < trellis_repeats; ++r)
+        for (const engine::BatchEncoder* e : {&opt_fixed, &opt}) {
+          BusState state = BusState::all_ones(wl.narrow_cfg);
+          const BurstStats s =
+              e->encode_packed(wl.narrow_payload, wl.narrow_cfg, state,
+                               results.data(), 1, /*reset_per_burst=*/true);
+          sink += s.zeros + s.transitions +
+                  static_cast<std::int64_t>(results.back().invert_mask);
+        }
+      const double dt = seconds_since(t0);
+      if (sink == 42) std::puts("");
+      rep.trellis_reset = std::max(
+          rep.trellis_reset, 2 * bursts * trellis_repeats / dt / 1e6);
     }
   }
   return rep;
@@ -825,6 +856,10 @@ int main(int argc, char** argv) {
     first = true;
     for (const KernelCaseReport& r : reports) {
       const bool selected = r.variant == &engine::default_kernel();
+      char trellis_ratio[32] = "null";
+      if (r.trellis_reset > 0)
+        std::snprintf(trellis_ratio, sizeof trellis_ratio, "%.2f",
+                      ratio(r.trellis_reset, swar_rep.trellis_reset));
       std::printf(
           "%s    {\"kernel\": \"%s\", \"isa\": \"%s\", \"available\": %s, "
           "\"selected\": %s,\n"
@@ -832,20 +867,23 @@ int main(int argc, char** argv) {
           "\"encode_wide_x64_mbursts_per_s\": %.2f, "
           "\"decode_x8_mbursts_per_s\": %.2f, "
           "\"decode_wide_x64_mbursts_per_s\": %.2f, "
-          "\"reset_mbursts_per_s\": %.2f,\n"
+          "\"reset_mbursts_per_s\": %.2f, "
+          "\"trellis_reset_mbursts_per_s\": %.2f,\n"
           "     \"encode_x8_vs_swar\": %.2f, "
           "\"encode_wide_x64_vs_swar\": %.2f, \"decode_x8_vs_swar\": %.2f, "
-          "\"decode_wide_x64_vs_swar\": %.2f, \"reset_vs_swar\": %.2f}",
+          "\"decode_wide_x64_vs_swar\": %.2f, \"reset_vs_swar\": %.2f, "
+          "\"trellis_reset_vs_swar\": %s}",
           first ? "" : ",\n",
           std::string(r.variant->name()).c_str(),
           std::string(engine::isa_name(r.variant->isa())).c_str(),
           r.available ? "true" : "false", selected ? "true" : "false",
           r.encode_x8, r.encode_wide_x64, r.decode_x8, r.decode_wide_x64,
-          r.reset, ratio(r.encode_x8, swar_rep.encode_x8),
+          r.reset, r.trellis_reset, ratio(r.encode_x8, swar_rep.encode_x8),
           ratio(r.encode_wide_x64, swar_rep.encode_wide_x64),
           ratio(r.decode_x8, swar_rep.decode_x8),
           ratio(r.decode_wide_x64, swar_rep.decode_wide_x64),
-          ratio(r.reset, swar_rep.reset));
+          ratio(r.reset, swar_rep.reset),
+          trellis_ratio);
       first = false;
     }
     std::printf("\n  ],\n");

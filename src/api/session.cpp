@@ -75,7 +75,8 @@ Session::Session(const SessionSpec& spec)
       kernel.isa() != engine::KernelIsa::kPortable &&
       !spec_.resolved_policy().adaptive()) {
     const KernelReport rep = kernel_report();
-    if (rep.fixed_encode != kernel.name() && rep.decode != kernel.name())
+    if (rep.fixed_encode != kernel.name() && rep.trellis != kernel.name() &&
+        rep.decode != kernel.name())
       throw std::invalid_argument(
           "SessionSpec: kernel '" + spec_.kernel +
           "' supports no path of scheme " + std::string(engine_.name()) +
@@ -166,11 +167,15 @@ KernelReport Session::kernel_report() const {
     rep.planar_encode =
         has_narrow_group ? engine::portable_kernel().name() : "n/a";
     rep.trellis = "n/a";
-  } else if (spec_.scheme == Scheme::kOpt ||
-             spec_.scheme == Scheme::kOptFixed) {
+  } else if (engine::trellis_rule(spec_.scheme)) {
+    // Byte groups take the variant's trellis entry inside its envelope;
+    // everything else runs the portable flat trellis.
+    const bool reset = spec_.state_policy == StatePolicy::kResetPerBurst;
     rep.fixed_encode = "n/a";
     rep.planar_encode = "n/a";
-    rep.trellis = engine::portable_kernel().name();
+    rep.trellis = has_byte_group && k.supports_trellis8(bl, reset)
+                      ? k.name()
+                      : engine::portable_kernel().name();
   } else {  // kExhaustive: the scalar ablation encoder
     rep.fixed_encode = "n/a";
     rep.planar_encode = "n/a";

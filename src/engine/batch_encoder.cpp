@@ -21,13 +21,13 @@ using dbi::BusState;
 using dbi::Scheme;
 using dbi::Word;
 
-// The SWAR and bit-plane fixed-scheme kernels live in
+// The SWAR, bit-plane and flat trellis kernels live in
 // kernels_portable.hpp (shared with the registry's "swar" variant and
-// the SIMD variant TUs); this TU keeps the trellis kernel, the generic
-// mask accounting, and the dispatch glue.
+// the SIMD variant TUs); this TU keeps the dispatch glue.
 using kernels::encode_fixed8;
 using kernels::encode_planar;
 using kernels::encode_raw8;
+using kernels::encode_trellis;
 using kernels::PlanarRule;
 using kernels::StridedBeats;
 using kernels::WordBeats;
@@ -41,89 +41,6 @@ std::string to_hex(Word w) {
     w >>= 4;
   } while (w != 0);
   return out;
-}
-
-// -------------------------------------------------- flat trellis kernel
-//
-// Allocation-free Viterbi over the two-state trellis (see
-// core/trellis.cpp for the reference DP): both path metrics live in
-// registers and the predecessor decisions in two 64-bit masks, so a
-// burst costs zero heap traffic. Floating-point operation order matches
-// the reference solver exactly — (cur + dc) + alpha * trans — so the
-// result is bit-identical even on tie-prone weights.
-
-template <typename CostT, typename Beats, typename WeightsT>
-std::uint64_t trellis_mask_flat(const Beats& words, const BusConfig& cfg,
-                                const Beat& prev, const WeightsT& w) {
-  const int n = words.size();
-  const Word m = cfg.dq_mask();
-  const auto alpha = static_cast<CostT>(w.alpha);
-  const auto beta = static_cast<CostT>(w.beta);
-
-  std::uint64_t pred0 = 0;  // bit i: predecessor state of (beat i, state 0)
-  std::uint64_t pred1 = 0;  // bit i: predecessor state of (beat i, state 1)
-
-  const Word w0 = words[0] & m;
-  const int z0 = cfg.width - std::popcount(w0);
-  CostT c0 = beta * static_cast<CostT>(z0) +
-             alpha * static_cast<CostT>(std::popcount((prev.dq ^ w0) & m) +
-                                        (prev.dbi != true ? 1 : 0));
-  CostT c1 =
-      beta * static_cast<CostT>(cfg.width - z0 + 1) +
-      alpha * static_cast<CostT>(std::popcount((prev.dq ^ ~w0) & m) +
-                                 (prev.dbi != false ? 1 : 0));
-
-  for (int i = 1; i < n; ++i) {
-    const Word wc = words[i] & m;
-    const Word wp = words[i - 1] & m;
-    const int h = std::popcount(wp ^ wc);
-    const int ones = std::popcount(wc);
-    const CostT dc0 = beta * static_cast<CostT>(cfg.width - ones);
-    const CostT dc1 = beta * static_cast<CostT>(ones + 1);
-    // Same-state edges keep the DBI value (h raw transitions); opposite
-    // edges see the complemented predecessor plus the DBI toggle.
-    const CostT t_same = alpha * static_cast<CostT>(h);
-    const CostT t_diff = alpha * static_cast<CostT>(cfg.width - h + 1);
-
-    const CostT a0 = (c0 + dc0) + t_same;  // p=0 -> s=0
-    const CostT b0 = (c1 + dc0) + t_diff;  // p=1 -> s=0
-    const CostT a1 = (c0 + dc1) + t_diff;  // p=0 -> s=1
-    const CostT b1 = (c1 + dc1) + t_same;  // p=1 -> s=1
-    // Ties keep the non-inverted predecessor, like the Fig. 5 comparators.
-    if (b0 < a0) pred0 |= std::uint64_t{1} << i;
-    if (b1 < a1) pred1 |= std::uint64_t{1} << i;
-    c0 = b0 < a0 ? b0 : a0;
-    c1 = b1 < a1 ? b1 : a1;
-  }
-
-  std::uint64_t mask = 0;
-  int s = (c1 < c0) ? 1 : 0;
-  for (int i = n - 1; i >= 0; --i) {
-    if (s) mask |= std::uint64_t{1} << i;
-    s = static_cast<int>(((s ? pred1 : pred0) >> i) & 1);
-  }
-  return mask;
-}
-
-/// Stats + state update for an arbitrary (width, mask) pair; the
-/// generic twin of the packed chunk accounting in the fixed kernels.
-template <typename Beats>
-BurstStats apply_mask(const Beats& words, const BusConfig& cfg,
-                      std::uint64_t mask, BusState& state) {
-  const Word dq_mask = cfg.dq_mask();
-  Beat last = state.last;
-  BurstStats stats;
-  for (int i = 0; i < words.size(); ++i) {
-    const bool inv = (mask >> i) & 1U;
-    const Word x = inv ? (~words[i] & dq_mask) : (words[i] & dq_mask);
-    const bool dbi = !inv;
-    stats.zeros += cfg.width - std::popcount(x) + (dbi ? 0 : 1);
-    stats.transitions += std::popcount((last.dq ^ x) & dq_mask) +
-                         (last.dbi != dbi ? 1 : 0);
-    last = Beat{x, dbi};
-  }
-  state.last = last;
-  return stats;
 }
 
 }  // namespace
@@ -161,20 +78,10 @@ BurstResult BatchEncoder::encode_span(std::span<const Word> words,
       if (cfg.width == 8)
         return encode_fixed8(Fixed8Rule::kAcDc, WordBeats{words}, state);
       return encode_planar(PlanarRule::kAcDc, WordBeats{words}, cfg, state);
-    case Scheme::kOpt: {
-      BurstResult r;
-      r.invert_mask = trellis_mask_flat<double>(WordBeats{words}, cfg,
-                                                state.last, weights_);
-      r.stats = apply_mask(WordBeats{words}, cfg, r.invert_mask, state);
-      return r;
-    }
-    case Scheme::kOptFixed: {
-      BurstResult r;
-      r.invert_mask = trellis_mask_flat<std::int64_t>(
-          WordBeats{words}, cfg, state.last, dbi::IntCostWeights{1, 1});
-      r.stats = apply_mask(WordBeats{words}, cfg, r.invert_mask, state);
-      return r;
-    }
+    case Scheme::kOpt:
+    case Scheme::kOptFixed:
+      return encode_trellis(*trellis_rule(scheme_), WordBeats{words}, cfg,
+                            weights_, state);
     default:
       break;
   }
@@ -207,6 +114,33 @@ BurstStats BatchEncoder::encode_words(std::span<const Word> words,
   return totals;
 }
 
+BurstStats BatchEncoder::encode_group8(const std::uint8_t* bytes,
+                                       std::size_t bursts, int burst_length,
+                                       int stride, BusState& state,
+                                       BurstResult* results,
+                                       std::size_t results_stride,
+                                       bool reset_per_burst) const {
+  // One registry dispatch per call: the selected variant when its
+  // envelope covers this rule and geometry, the portable reference
+  // otherwise.
+  if (const auto rule = fixed8_rule(scheme_)) {
+    const KernelVariant& k = kernel_->supports_fixed8(*rule, burst_length)
+                                 ? *kernel_
+                                 : portable_kernel();
+    if (obs_) obs_->count_encode_dispatch(k, &k != kernel_);
+    return k.encode_fixed8(*rule, bytes, bursts, burst_length, stride,
+                           reset_per_burst, state, results, results_stride);
+  }
+  const KernelVariant& k =
+      kernel_->supports_trellis8(burst_length, reset_per_burst)
+          ? *kernel_
+          : portable_kernel();
+  if (obs_) obs_->count_encode_dispatch(k, &k != kernel_);
+  return k.encode_trellis8(*trellis_rule(scheme_), weights_, bytes, bursts,
+                           burst_length, stride, reset_per_burst, state,
+                           results, results_stride);
+}
+
 BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
                                        const BusConfig& cfg, BusState& state,
                                        BurstResult* results,
@@ -224,42 +158,16 @@ BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
         std::to_string(cfg.width) + ", burst_length " +
         std::to_string(cfg.burst_length) + ")");
   const std::size_t n = bytes.size() / burst_bytes;
-  BurstStats totals;
   const std::uint8_t* p = bytes.data();
 
   // Width-8 schemes consume the packed bytes in place — the trace
   // payload layout is the SWAR lane-word layout, so there is no
-  // widening pass at all (and every byte value is a valid beat). The
-  // fixed schemes run through the selected kernel variant; geometries
-  // outside its envelope take the portable reference.
-  if (cfg.width == 8 && scheme_ != Scheme::kExhaustive) {
-    const int ibl = cfg.burst_length;
-    if (const auto rule = fixed8_rule(scheme_)) {
-      const KernelVariant& k = kernel_->supports_fixed8(*rule, ibl)
-                                   ? *kernel_
-                                   : portable_kernel();
-      if (obs_) obs_->count_encode_dispatch(k, &k != kernel_);
-      return k.encode_fixed8(*rule, p, n, ibl, /*stride=*/1, reset_per_burst,
-                             state, results, results_stride);
-    }
-    for (std::size_t i = 0; i < n; ++i, p += burst_bytes) {
-      if (reset_per_burst) state = BusState::all_ones(cfg);
-      const kernels::ByteBeats beats{p, ibl};
-      BurstResult r;
-      if (scheme_ == Scheme::kOpt) {
-        r.invert_mask =
-            trellis_mask_flat<double>(beats, cfg, state.last, weights_);
-      } else {  // kOptFixed
-        r.invert_mask = trellis_mask_flat<std::int64_t>(
-            beats, cfg, state.last, dbi::IntCostWeights{1, 1});
-      }
-      r.stats = apply_mask(beats, cfg, r.invert_mask, state);
-      totals += r.stats;
-      if (results) results[i * results_stride] = r;
-    }
-    return totals;
-  }
+  // widening pass at all (and every byte value is a valid beat).
+  if (cfg.width == 8 && scheme_ != Scheme::kExhaustive)
+    return encode_group8(p, n, cfg.burst_length, /*stride=*/1, state,
+                         results, results_stride, reset_per_burst);
 
+  BurstStats totals;
   const Word mask = cfg.dq_mask();
   Word buf[64];  // burst_length <= 64 by BusConfig::validate()
   for (std::size_t i = 0; i < n; ++i, p += burst_bytes) {
@@ -310,20 +218,12 @@ BurstStats BatchEncoder::encode_packed_group(
 
   const std::uint8_t* p = bytes.data() + group;
 
-  // Full byte groups under a fixed scheme: the strided wide kernel of
-  // the selected variant (stride = groups()), portable outside its
-  // envelope. Every byte value is a valid width-8 beat, so no
-  // validation pass is needed.
-  if (gw == 8 && scheme_ != Scheme::kExhaustive) {
-    if (const auto rule = fixed8_rule(scheme_)) {
-      const KernelVariant& k = kernel_->supports_fixed8(*rule, bl)
-                                   ? *kernel_
-                                   : portable_kernel();
-      if (obs_) obs_->count_encode_dispatch(k, &k != kernel_);
-      return k.encode_fixed8(*rule, p, n, bl, groups, reset_per_burst, state,
-                             results, results_stride);
-    }
-  }
+  // Full byte groups: the strided kernels of the selected variant
+  // (stride = groups()). Every byte value is a valid width-8 beat, so
+  // no validation pass is needed.
+  if (gw == 8 && scheme_ != Scheme::kExhaustive)
+    return encode_group8(p, n, bl, groups, state, results, results_stride,
+                         reset_per_burst);
 
   BurstStats totals;
   for (std::size_t i = 0; i < n; ++i, p += burst_bytes) {
@@ -359,14 +259,9 @@ BurstStats BatchEncoder::encode_packed_group(
                     : encode_planar(PlanarRule::kAcDc, beats, gcfg, state);
         break;
       case Scheme::kOpt:
-        r.invert_mask =
-            trellis_mask_flat<double>(beats, gcfg, state.last, weights_);
-        r.stats = apply_mask(beats, gcfg, r.invert_mask, state);
-        break;
       case Scheme::kOptFixed:
-        r.invert_mask = trellis_mask_flat<std::int64_t>(
-            beats, gcfg, state.last, dbi::IntCostWeights{1, 1});
-        r.stats = apply_mask(beats, gcfg, r.invert_mask, state);
+        r = encode_trellis(*trellis_rule(scheme_), beats, gcfg, weights_,
+                           state);
         break;
       default: {  // kExhaustive: materialise the group burst, scalar twin
         Burst data(gcfg);

@@ -87,12 +87,13 @@ class BatchEncoder {
   [[nodiscard]] std::string_view name() const;
 
   /// The kernel variant serving this encoder's hot width-8 fixed-scheme
-  /// paths (encode_packed / encode_packed_group full byte groups).
+  /// and trellis paths (encode_packed / encode_packed_group full byte
+  /// groups).
   /// Defaults to the registry's auto selection (CPUID detection plus
   /// the DBI_KERNEL environment override); geometries outside the
   /// variant's envelope fall back to the portable "swar" reference, so
-  /// results are bit-exact under every variant. The bit-plane and
-  /// trellis paths always run the portable kernels.
+  /// results are bit-exact under every variant. The bit-plane paths
+  /// always run the portable kernels.
   void set_kernel(const KernelVariant& kernel) { kernel_ = &kernel; }
   [[nodiscard]] const KernelVariant& kernel() const { return *kernel_; }
 
@@ -205,6 +206,16 @@ class BatchEncoder {
   BurstResult encode_span(std::span<const dbi::Word> words,
                           const dbi::BusConfig& cfg, dbi::BusState& state,
                           const dbi::Burst* original) const;
+
+  /// Width-8 byte-group dispatch (every scheme but kExhaustive): beat t
+  /// of burst i at bytes[(i * burst_length + t) * stride], through the
+  /// selected variant's encode_fixed8 / encode_trellis8, or the
+  /// portable reference outside its envelope.
+  dbi::BurstStats encode_group8(const std::uint8_t* bytes, std::size_t bursts,
+                                int burst_length, int stride,
+                                dbi::BusState& state, BurstResult* results,
+                                std::size_t results_stride,
+                                bool reset_per_burst) const;
 
   dbi::Scheme scheme_;
   dbi::CostWeights weights_;

@@ -9,9 +9,11 @@
 //   * encode_fixed8: DC / AC / ACDC at burst_length 8 (4 bursts/ymm);
 //   * decode_fixed8: width 8, burst_length % 8 == 0;
 //   * decode_wide8:  burst_length % 8 == 0.
-// See kernel_avx512.cpp for the shared algorithm notes; the scalar
-// per-burst AC boundary fixup of the threaded path, the all-vector
-// per-burst-reset path and the stats identities are identical.
+// The trellis entry (encode_trellis8) always runs the portable
+// reference. See kernel_avx512.cpp for the shared algorithm notes; the
+// scalar per-burst AC boundary fixup of the threaded path, the
+// all-vector per-burst-reset path and the stats identities are
+// identical.
 #include "engine/kernel_variants.hpp"
 
 #if defined(DBI_HAVE_AVX2)
@@ -79,6 +81,9 @@ class Avx2Kernel final : public KernelVariant {
   [[nodiscard]] bool supports_decode_wide8(int burst_length) const override {
     return burst_length % 8 == 0;
   }
+  [[nodiscard]] bool supports_trellis8(int, bool) const override {
+    return false;
+  }
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
                                 std::size_t bursts, int burst_length,
@@ -104,6 +109,16 @@ class Avx2Kernel final : public KernelVariant {
                         stride, reset_per_burst, state,
                         results ? results + vec * results_stride : nullptr,
                         results_stride);
+  }
+
+  dbi::BurstStats encode_trellis8(
+      TrellisRule rule, const dbi::CostWeights& weights,
+      const std::uint8_t* bytes, std::size_t bursts, int burst_length,
+      int stride, bool reset_per_burst, dbi::BusState& state,
+      BurstResult* results, std::size_t results_stride) const override {
+    return portable_kernel().encode_trellis8(
+        rule, weights, bytes, bursts, burst_length, stride, reset_per_burst,
+        state, results, results_stride);
   }
 
   void decode_fixed8(const std::uint8_t* tx, const std::uint64_t* masks,

@@ -1,6 +1,6 @@
 // The "avx512-fixed8" kernel variant: AVX-512 (F+BW+DQ+VL, the
-// Skylake-server baseline) implementations of the hot fixed-scheme
-// paths. This TU is compiled with per-file -mavx512* flags (see the
+// Skylake-server baseline) implementations of the hot width-8 paths.
+// This TU is compiled with per-file -mavx512* flags (see the
 // DBI_SIMD block in CMakeLists.txt) and registers itself only when
 // CMake defined DBI_HAVE_AVX512 for it; the registry additionally gates
 // selection on runtime CPUID, so the binary stays portable.
@@ -18,6 +18,12 @@
 //     independent and the whole block stays in vector registers (see
 //     encode_reset). x64 group slices (stride 8) load with vpmovqb
 //     narrowing instead of a byte gather.
+//   * encode_trellis8: OPT / OPT-Fixed at burst_length 8 under
+//     per-burst reset — 8 independent two-state trellises per zmm, one
+//     per double lane, feeding the same stats tail as the fixed rules
+//     (see trellis_flags). With threaded state each burst's trellis
+//     starts from the previous burst's decision, so that path stays on
+//     the portable reference.
 //   * decode_fixed8: width 8, burst_length % 8 == 0 — mask bits to XOR
 //     bytes with vpmovm2b, 64 transmitted bytes per step. At burst
 //     length 8 one vpmovqb packs 8 masks' flag bytes; longer bursts
@@ -29,6 +35,10 @@
 // here are the same per-byte popcount thresholds, the prefix XOR is the
 // same recurrence, and stats come from the same popcount identities —
 // the parity suite and the differential fuzzer hold every path to that.
+// The trellis lanes repeat the scalar solver's double operations in the
+// same order; CMake compiles this TU with -ffp-contract=off, because
+// -mavx512f implies FMA and a contracted alpha * h + c rounds once
+// instead of twice, flipping tie-prone kOpt decisions.
 #include "engine/kernel_variants.hpp"
 
 #if defined(DBI_HAVE_AVX512)
@@ -104,8 +114,9 @@ class Avx512Kernel final : public KernelVariant {
   [[nodiscard]] KernelIsa isa() const override { return KernelIsa::kAvx512; }
   [[nodiscard]] std::string_view envelope() const override {
     return "DC/AC/ACDC encode at burst length 8 (8 bursts per vector); "
-           "width-8 and full-group wide decode at burst lengths divisible "
-           "by 8";
+           "OPT/OPT-Fixed trellis at burst length 8 with per-burst reset "
+           "(8 trellises per vector); width-8 and full-group wide decode "
+           "at burst lengths divisible by 8";
   }
 
   [[nodiscard]] bool supports_fixed8(Fixed8Rule rule,
@@ -118,6 +129,10 @@ class Avx512Kernel final : public KernelVariant {
   }
   [[nodiscard]] bool supports_decode_wide8(int burst_length) const override {
     return burst_length % 8 == 0;
+  }
+  [[nodiscard]] bool supports_trellis8(int burst_length,
+                                       bool reset_per_burst) const override {
+    return burst_length == 8 && reset_per_burst;
   }
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
@@ -132,8 +147,11 @@ class Avx512Kernel final : public KernelVariant {
     if (burst_length == 8 && rule != Fixed8Rule::kRaw) {
       vec = bursts & ~std::size_t{7};
       totals = reset_per_burst
-                   ? encode_reset(rule, bytes, vec, stride, state, results,
-                                  results_stride)
+                   ? encode_reset(bytes, vec, stride, state, results,
+                                  results_stride,
+                                  [rule](__m512i v, __m512i pop) {
+                                    return fixed_flags(rule, v, pop);
+                                  })
                    : encode_threaded(rule, bytes, vec, stride, state,
                                      results, results_stride);
     }
@@ -144,6 +162,38 @@ class Avx512Kernel final : public KernelVariant {
     return totals + portable_kernel().encode_fixed8(
                         rule, bytes + vec * bb, bursts - vec, burst_length,
                         stride, reset_per_burst, state,
+                        results ? results + vec * results_stride : nullptr,
+                        results_stride);
+  }
+
+  dbi::BurstStats encode_trellis8(
+      TrellisRule rule, const dbi::CostWeights& weights,
+      const std::uint8_t* bytes, std::size_t bursts, int burst_length,
+      int stride, bool reset_per_burst, dbi::BusState& state,
+      BurstResult* results, std::size_t results_stride) const override {
+    std::size_t vec = 0;  // bursts the vector loop takes, 8 per zmm
+    dbi::BurstStats totals;
+    if (burst_length == 8 && reset_per_burst) {
+      vec = bursts & ~std::size_t{7};
+      // OPT (Fixed) is the same double recurrence at alpha = beta = 1:
+      // every path metric is a small integer, exact in double, so its
+      // decisions match the int64 reference.
+      const bool fixed = rule == TrellisRule::kOptFixed;
+      const __m512d alpha = _mm512_set1_pd(fixed ? 1.0 : weights.alpha);
+      const __m512d beta = _mm512_set1_pd(fixed ? 1.0 : weights.beta);
+      totals = encode_reset(bytes, vec, stride, state, results,
+                            results_stride,
+                            [alpha, beta](__m512i v, __m512i pop) {
+                              return trellis_flags(v, pop, alpha, beta);
+                            });
+    }
+    // Tail bursts and geometries outside the envelope: the portable
+    // reference, carrying the state the vector loop left.
+    const auto bb = static_cast<std::size_t>(burst_length) *
+                    static_cast<std::size_t>(stride);
+    return totals + portable_kernel().encode_trellis8(
+                        rule, weights, bytes + vec * bb, bursts - vec,
+                        burst_length, stride, reset_per_burst, state,
                         results ? results + vec * results_stride : nullptr,
                         results_stride);
   }
@@ -355,22 +405,107 @@ class Avx512Kernel final : public KernelVariant {
     return totals;
   }
 
-  /// Per-burst-reset vector loop over `bursts` (a multiple of 8) BL8
-  /// bursts. Every burst starts from (0xFF, DBI high), so the 8 bursts
-  /// of a zmm are independent and nothing carries between its qwords:
+  /// Fixed-rule inversion flags of one per-burst-reset block (8 BL8
+  /// bursts, burst j in qword j, `pop` its per-byte popcounts). Every
+  /// burst starts from (0xFF, DBI high), so nothing carries between
+  /// the qwords:
   ///   * AC's beat-0 flag against (0xFF, DBI high) is 8 - popcount(b0)
   ///     >= 5, i.e. popcount(b0) <= 3 — the DC flag, as in ACDC;
   ///   * the 8-bit decision prefix XOR runs on all 64 flags at once as
-  ///     a 3-step per-byte SWAR scan;
-  ///   * the transition stream shifts 0xFF into each burst's beat 0.
-  /// Per-burst stats come from per-beat counts summed with vpsadbw.
-  static dbi::BurstStats encode_reset(Fixed8Rule rule,
-                                      const std::uint8_t* bytes,
+  ///     a 3-step per-byte SWAR scan.
+  static std::uint64_t fixed_flags(Fixed8Rule rule, __m512i v, __m512i pop) {
+    using kernels::kL01;
+    const std::uint64_t dc = _mm512_cmple_epu8_mask(pop, _mm512_set1_epi8(3));
+    if (rule == Fixed8Rule::kDc) return dc;
+    // Beats 1..7 against their raw predecessor (the in-qword shift
+    // leaves beat 0 garbage, replaced by the DC flag).
+    const __m512i h = byte_popcount512(
+        _mm512_xor_si512(v, _mm512_maskz_slli_epi64(0xFF, v, 8)));
+    const std::uint64_t g =
+        _mm512_cmp_epu8_mask(h, _mm512_set1_epi8(5), _MM_CMPINT_NLT);
+    return kernels::bytewise_prefix_xor((g & ~kL01) | (dc & kL01));
+  }
+
+  /// Trellis masks of one per-burst-reset block: 8 independent BL8
+  /// shortest paths (core/trellis.hpp), one per double lane. Beat t's
+  /// ones / raw Hamming distance are byte t of each qword of `pop` /
+  /// `h`, widened to doubles; the recurrence is kernels::
+  /// trellis_mask_flat's, operation for operation —
+  /// (c + dc) + alpha * trans with strict-less decisions that keep the
+  /// non-inverted predecessor on ties — so the masks are bit-identical
+  /// to the scalar solver (this TU is compiled with -ffp-contract=off:
+  /// a fused multiply-add would round differently). Returns byte j =
+  /// burst j's inversion mask.
+  static std::uint64_t trellis_flags(__m512i v, __m512i pop, __m512d alpha,
+                                     __m512d beta) {
+    const __m512i low = _mm512_set1_epi64(0xFF);
+    const __m512d one = _mm512_set1_pd(1.0);
+    const __m512d eight = _mm512_set1_pd(8.0);
+    const __m512d nine = _mm512_set1_pd(9.0);
+    __m512i ones = pop;
+    __m512i h = byte_popcount512(
+        _mm512_xor_si512(v, _mm512_maskz_slli_epi64(0xFF, v, 8)));
+    const auto widen = [&](__m512i x) {
+      return _mm512_cvtepi64_pd(_mm512_and_si512(x, low));
+    };
+
+    // Beat 0 from (0xFF, DBI high): keeping it sends 8 - o0 zeros and
+    // toggles 8 - o0 lines; inverting sends o0 + 1 zeros (DBI low) and
+    // toggles o0 lines plus DBI.
+    const __m512d o0 = widen(ones);
+    const __m512d k0 = _mm512_sub_pd(eight, o0);
+    const __m512d i0 = _mm512_add_pd(o0, one);
+    __m512d c0 =
+        _mm512_add_pd(_mm512_mul_pd(beta, k0), _mm512_mul_pd(alpha, k0));
+    __m512d c1 =
+        _mm512_add_pd(_mm512_mul_pd(beta, i0), _mm512_mul_pd(alpha, i0));
+
+    __mmask8 pred0[8] = {};  // lane j: predecessor of (beat t, state 0)
+    __mmask8 pred1[8] = {};  // lane j: predecessor of (beat t, state 1)
+    for (int t = 1; t < 8; ++t) {
+      ones = _mm512_maskz_srli_epi64(0xFF, ones, 8);
+      h = _mm512_maskz_srli_epi64(0xFF, h, 8);
+      const __m512d o = widen(ones);
+      const __m512d hd = widen(h);
+      const __m512d dc0 = _mm512_mul_pd(beta, _mm512_sub_pd(eight, o));
+      const __m512d dc1 = _mm512_mul_pd(beta, _mm512_add_pd(o, one));
+      const __m512d t_same = _mm512_mul_pd(alpha, hd);
+      const __m512d t_diff = _mm512_mul_pd(alpha, _mm512_sub_pd(nine, hd));
+      const __m512d a0 = _mm512_add_pd(_mm512_add_pd(c0, dc0), t_same);
+      const __m512d b0 = _mm512_add_pd(_mm512_add_pd(c1, dc0), t_diff);
+      const __m512d a1 = _mm512_add_pd(_mm512_add_pd(c0, dc1), t_diff);
+      const __m512d b1 = _mm512_add_pd(_mm512_add_pd(c1, dc1), t_same);
+      pred0[t] = _mm512_cmp_pd_mask(b0, a0, _CMP_LT_OQ);
+      pred1[t] = _mm512_cmp_pd_mask(b1, a1, _CMP_LT_OQ);
+      c0 = _mm512_mask_blend_pd(pred0[t], a0, b0);
+      c1 = _mm512_mask_blend_pd(pred1[t], a1, b1);
+    }
+
+    // Backtrack all 8 lanes at once: byte t of `rows` holds beat t's
+    // state bit per burst; the 8x8 transpose turns it burst-major.
+    auto s = static_cast<std::uint32_t>(_mm512_cmp_pd_mask(c1, c0, _CMP_LT_OQ));
+    std::uint64_t rows = static_cast<std::uint64_t>(s) << 56;
+    for (int t = 7; t > 0; --t) {
+      s = ((s & pred1[t]) | (~s & pred0[t])) & 0xFFU;
+      rows |= static_cast<std::uint64_t>(s) << (8 * (t - 1));
+    }
+    return transpose8(rows);
+  }
+
+  /// Per-burst-reset vector loop over `bursts` (a multiple of 8) BL8
+  /// bursts, shared by the fixed rules and the trellis: `flags(v, pop)`
+  /// returns the block's inversion flags (byte j = burst j's mask) from
+  /// its 64 raw beats and their per-byte popcounts. Every burst starts
+  /// from (0xFF, DBI high), so the transition stream shifts 0xFF into
+  /// each burst's beat 0; per-burst stats come from per-beat counts
+  /// summed with vpsadbw.
+  template <typename Flags>
+  static dbi::BurstStats encode_reset(const std::uint8_t* bytes,
                                       std::size_t bursts, int stride,
                                       dbi::BusState& state,
                                       BurstResult* results,
-                                      std::size_t results_stride) {
-    using kernels::kL01;
+                                      std::size_t results_stride,
+                                      Flags flags) {
     constexpr std::uint64_t kLFE = 0xFEFEFEFEFEFEFEFEULL;
     const __m512i zero = _mm512_setzero_si512();
     const __m512i one = _mm512_set1_epi8(1);
@@ -389,18 +524,7 @@ class Avx512Kernel final : public KernelVariant {
     for (std::size_t i = 0; i < bursts; i += 8, p += std::size_t{64} * stride) {
       const __m512i v = load_beats64(p, stride, gbuf);
       const __m512i pop = byte_popcount512(v);
-      const std::uint64_t dc = _mm512_cmple_epu8_mask(pop, _mm512_set1_epi8(3));
-      if (rule == Fixed8Rule::kDc) {
-        s64 = dc;
-      } else {
-        // Beats 1..7 against their raw predecessor (the in-qword shift
-        // leaves beat 0 garbage, replaced by the DC flag).
-        const __m512i h = byte_popcount512(
-            _mm512_xor_si512(v, _mm512_maskz_slli_epi64(0xFF, v, 8)));
-        const std::uint64_t g =
-            _mm512_cmp_epu8_mask(h, _mm512_set1_epi8(5), _MM_CMPINT_NLT);
-        s64 = kernels::bytewise_prefix_xor((g & ~kL01) | (dc & kL01));
-      }
+      s64 = flags(v, pop);
       const auto k = static_cast<__mmask64>(s64);
       tx = _mm512_xor_si512(v, _mm512_movm_epi8(k));
 

@@ -40,6 +40,9 @@ class NeonKernel final : public KernelVariant {
   [[nodiscard]] bool supports_decode_wide8(int) const override {
     return false;
   }
+  [[nodiscard]] bool supports_trellis8(int, bool) const override {
+    return false;
+  }
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
                                 std::size_t bursts, int burst_length,
@@ -49,6 +52,16 @@ class NeonKernel final : public KernelVariant {
     return portable_kernel().encode_fixed8(rule, bytes, bursts, burst_length,
                                            stride, reset_per_burst, state,
                                            results, results_stride);
+  }
+
+  dbi::BurstStats encode_trellis8(
+      TrellisRule rule, const dbi::CostWeights& weights,
+      const std::uint8_t* bytes, std::size_t bursts, int burst_length,
+      int stride, bool reset_per_burst, dbi::BusState& state,
+      BurstResult* results, std::size_t results_stride) const override {
+    return portable_kernel().encode_trellis8(
+        rule, weights, bytes, bursts, burst_length, stride, reset_per_burst,
+        state, results, results_stride);
   }
 
   void decode_fixed8(const std::uint8_t* tx, const std::uint64_t* masks,

@@ -1,8 +1,8 @@
-// The "swar" kernel variant: the portable SWAR / bit-plane reference,
-// re-homed from BatchEncoder/BatchDecoder behind the registry
-// interface. Always compiled, always available, and the bit-exactness
-// anchor every SIMD variant is held to — its entry points are straight
-// loops over the shared kernels in kernels_portable.hpp.
+// The "swar" kernel variant: the portable SWAR / bit-plane / flat
+// trellis reference, re-homed from BatchEncoder/BatchDecoder behind the
+// registry interface. Always compiled, always available, and the
+// bit-exactness anchor every SIMD variant is held to — its entry points
+// are straight loops over the shared kernels in kernels_portable.hpp.
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -36,6 +36,9 @@ class PortableKernel final : public KernelVariant {
     return true;
   }
   [[nodiscard]] bool supports_decode_wide8(int) const override { return true; }
+  [[nodiscard]] bool supports_trellis8(int, bool) const override {
+    return true;
+  }
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
                                 std::size_t bursts, int burst_length,
@@ -57,6 +60,32 @@ class PortableKernel final : public KernelVariant {
         r = kernels::encode_burst8(
             rule, kernels::StridedBeats{p, burst_length, stride}, state);
       }
+      totals += r.stats;
+      if (results) results[i * results_stride] = r;
+    }
+    return totals;
+  }
+
+  dbi::BurstStats encode_trellis8(
+      TrellisRule rule, const dbi::CostWeights& weights,
+      const std::uint8_t* bytes, std::size_t bursts, int burst_length,
+      int stride, bool reset_per_burst, dbi::BusState& state,
+      BurstResult* results, std::size_t results_stride) const override {
+    const dbi::BusConfig cfg{8, burst_length};
+    const auto burst_bytes = static_cast<std::size_t>(burst_length) *
+                             static_cast<std::size_t>(stride);
+    dbi::BurstStats totals;
+    const std::uint8_t* p = bytes;
+    for (std::size_t i = 0; i < bursts; ++i, p += burst_bytes) {
+      if (reset_per_burst) state.last = dbi::Beat{0xFF, true};
+      const BurstResult r =
+          stride == 1
+              ? kernels::encode_trellis(rule,
+                                        kernels::ByteBeats{p, burst_length},
+                                        cfg, weights, state)
+              : kernels::encode_trellis(
+                    rule, kernels::StridedBeats{p, burst_length, stride}, cfg,
+                    weights, state);
       totals += r.stats;
       if (results) results[i * results_stride] = r;
     }

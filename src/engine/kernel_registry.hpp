@@ -1,18 +1,19 @@
 // Kernel registry: runtime-dispatched variants of the engine's hot
-// fixed-scheme paths.
+// width-8 paths.
 //
 // The engine's inner loops — the width-8 SWAR batch encode, the strided
-// wide byte-group kernels, and the flag-masked XOR decode — exist in
-// several implementations: the portable SWAR reference ("swar", always
-// available) and explicit-SIMD variants (AVX2 / AVX-512 / NEON), each
-// compiled in its own TU with per-file -m flags so the binary stays
-// portable. A KernelVariant names one implementation, declares the ISA
-// it needs and the (rule, burst length) envelope its vector loops
-// accept, and exposes the three entry points BatchEncoder/BatchDecoder
-// dispatch through. Outside a variant's envelope the caller falls back
-// to the portable reference, so every geometry works under every
-// variant and results are bit-exact by construction (the SIMD TUs reuse
-// the portable kernels for their tails).
+// wide byte-group kernels, the per-burst OPT / OPT-Fixed trellis, and
+// the flag-masked XOR decode — exist in several implementations: the
+// portable SWAR reference ("swar", always available) and explicit-SIMD
+// variants (AVX2 / AVX-512 / NEON), each compiled in its own TU with
+// per-file -m flags so the binary stays portable. A KernelVariant names
+// one implementation, declares the ISA it needs and the envelope (rule,
+// burst length, state policy) its vector loops accept, and exposes the
+// four entry points BatchEncoder/BatchDecoder dispatch through. Outside
+// a variant's envelope the caller falls back to the portable reference,
+// so every geometry works under every variant and results are bit-exact
+// by construction (the SIMD TUs reuse the portable kernels for their
+// tails).
 //
 // Selection: default_kernel() picks the highest-priority variant whose
 // ISA the host CPU reports (__builtin_cpu_supports / getauxval), unless
@@ -30,6 +31,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/cost.hpp"
 #include "core/encoder.hpp"
 #include "core/encoding.hpp"
 #include "core/types.hpp"
@@ -59,8 +61,8 @@ enum class KernelIsa { kPortable, kAvx2, kAvx512, kNeon };
 /// The per-burst decision rule of the width-8 fixed-scheme kernels.
 enum class Fixed8Rule { kRaw, kDc, kAc, kAcDc };
 
-/// Maps a Scheme to its fixed width-8 rule; empty for the trellis /
-/// exhaustive schemes, which always run the portable kernels.
+/// Maps a Scheme to its fixed width-8 rule; empty for the trellis
+/// schemes (see TrellisRule) and the exhaustive ablation.
 [[nodiscard]] constexpr std::optional<Fixed8Rule> fixed8_rule(
     dbi::Scheme scheme) {
   switch (scheme) {
@@ -77,7 +79,25 @@ enum class Fixed8Rule { kRaw, kDc, kAc, kAcDc };
   }
 }
 
-/// One implementation of the engine's hot fixed-scheme paths.
+/// The shortest-path (trellis) schemes of the width-8 trellis entry:
+/// DBI OPT with real alpha / beta weights, and DBI OPT (Fixed) with the
+/// synthesised encoder's alpha = beta = 1.
+enum class TrellisRule { kOpt, kOptFixed };
+
+/// Maps a Scheme to its trellis rule; empty for every other scheme.
+[[nodiscard]] constexpr std::optional<TrellisRule> trellis_rule(
+    dbi::Scheme scheme) {
+  switch (scheme) {
+    case dbi::Scheme::kOpt:
+      return TrellisRule::kOpt;
+    case dbi::Scheme::kOptFixed:
+      return TrellisRule::kOptFixed;
+    default:
+      return std::nullopt;
+  }
+}
+
+/// One implementation of the engine's hot width-8 paths.
 ///
 /// Entry-point contracts (callers check the supports_* envelope first;
 /// the portable reference supports everything):
@@ -95,6 +115,15 @@ enum class Fixed8Rule { kRaw, kDc, kAc, kAcDc };
 ///   burst's line values (untouched when `bursts` is 0). Writes burst
 ///   i's result to results[i * results_stride] when `results` is
 ///   non-null, and returns the summed stats.
+///
+///   encode_trellis8: the same byte layout, state, results and
+///   results_stride contract as encode_fixed8, for the trellis schemes:
+///   every burst gets the mask the scalar solver (core/trellis.hpp)
+///   finds from the burst's entry state — the all-ones state under
+///   `reset_per_burst`, else the previous burst's line values. kOpt
+///   uses `weights` with the solver's double operation order, so masks
+///   match it bit-exactly even on tie-prone weights; kOptFixed ignores
+///   `weights` and solves at alpha = beta = 1.
 ///
 ///   decode_fixed8: byte-per-beat masked-XOR decode (BusConfig widths
 ///   1..8): XORs dq_mask into every flagged beat of each burst; `out`
@@ -123,6 +152,8 @@ class KernelVariant {
   [[nodiscard]] virtual bool supports_decode8(
       const dbi::BusConfig& cfg) const = 0;
   [[nodiscard]] virtual bool supports_decode_wide8(int burst_length) const = 0;
+  [[nodiscard]] virtual bool supports_trellis8(int burst_length,
+                                               bool reset_per_burst) const = 0;
 
   // --- entry points
   virtual dbi::BurstStats encode_fixed8(Fixed8Rule rule,
@@ -132,6 +163,11 @@ class KernelVariant {
                                         dbi::BusState& state,
                                         BurstResult* results,
                                         std::size_t results_stride) const = 0;
+  virtual dbi::BurstStats encode_trellis8(
+      TrellisRule rule, const dbi::CostWeights& weights,
+      const std::uint8_t* bytes, std::size_t bursts, int burst_length,
+      int stride, bool reset_per_burst, dbi::BusState& state,
+      BurstResult* results, std::size_t results_stride) const = 0;
   virtual void decode_fixed8(const std::uint8_t* tx,
                              const std::uint64_t* masks, std::size_t bursts,
                              const dbi::BusConfig& cfg,

@@ -14,6 +14,7 @@
 #include "api/kernels.hpp"
 #include "api/session.hpp"
 #include "core/encoder.hpp"
+#include "core/trellis.hpp"
 #include "engine/batch_decoder.hpp"
 #include "engine/batch_encoder.hpp"
 #include "engine/kernel_registry.hpp"
@@ -340,6 +341,136 @@ TEST(KernelParity, Fixed8ResetAndStrideMatchSwarAndScalar) {
                   ASSERT_EQ(swar[i], expect) << ctx << " slot " << i;
                 }
               }
+}
+
+// ------------------------------------------------ per-burst trellis
+
+/// The scalar solver's result for BL8 burst i of a width-8 group slice
+/// (beat t at bytes[(i * 8 + t) * stride]), every burst solved from the
+/// all-ones state; `state` ends at the last burst's line values.
+std::vector<engine::BurstResult> scalar_trellis_results(
+    engine::TrellisRule rule, const CostWeights& w, const std::uint8_t* bytes,
+    std::size_t bursts, int stride, BusState& state) {
+  const BusConfig cfg{8, 8};
+  std::vector<engine::BurstResult> out;
+  std::vector<Word> words(8);
+  for (std::size_t i = 0; i < bursts; ++i) {
+    for (std::size_t t = 0; t < 8; ++t)
+      words[t] = bytes[(i * 8 + t) * static_cast<std::size_t>(stride)];
+    const Burst burst(cfg, words);
+    const BusState entry = BusState::all_ones(cfg);
+    const std::uint64_t mask =
+        rule == engine::TrellisRule::kOpt
+            ? solve_trellis(burst, entry, w).invert_mask
+            : solve_trellis(burst, entry, IntCostWeights{1, 1}).invert_mask;
+    const EncodedBurst e = EncodedBurst::from_inversion_mask(burst, mask);
+    out.push_back({mask, e.stats(entry)});
+    state = e.final_state();
+  }
+  return out;
+}
+
+/// encode_trellis8 under per-burst reset, against swar and the scalar
+/// solver: masks, per-burst stats in their result slots (the slots in
+/// between keep a sentinel), totals, a stats-only call, and the state
+/// left after the call (a garbage entry state must not matter).
+void expect_trellis8_parity(const KernelVariant& v, engine::TrellisRule rule,
+                            const CostWeights& w,
+                            const std::vector<std::uint8_t>& bytes,
+                            int stride, int group, std::size_t bursts,
+                            std::size_t rs, const std::string& ctx) {
+  const engine::BurstResult sentinel{~std::uint64_t{0}, BurstStats{-1, -1}};
+  const BusState entry{Beat{0x5A, false}};
+  const std::uint8_t* slice = bytes.data() + group;
+
+  BusState want_state = entry;
+  const auto want =
+      scalar_trellis_results(rule, w, slice, bursts, stride, want_state);
+  BurstStats want_totals;
+  for (const auto& r : want) want_totals += r.stats;
+
+  BusState swar_state = entry;
+  std::vector<engine::BurstResult> swar(bursts * rs, sentinel);
+  const BurstStats swar_totals = engine::portable_kernel().encode_trellis8(
+      rule, w, slice, bursts, 8, stride, true, swar_state, swar.data(), rs);
+
+  BusState got_state = entry;
+  std::vector<engine::BurstResult> got(bursts * rs, sentinel);
+  const BurstStats got_totals = v.encode_trellis8(
+      rule, w, slice, bursts, 8, stride, true, got_state, got.data(), rs);
+  BusState quiet_state = entry;
+  const BurstStats quiet_totals = v.encode_trellis8(
+      rule, w, slice, bursts, 8, stride, true, quiet_state, nullptr, rs);
+
+  ASSERT_EQ(got_totals, want_totals) << ctx;
+  ASSERT_EQ(swar_totals, want_totals) << ctx;
+  ASSERT_EQ(quiet_totals, want_totals) << ctx;
+  ASSERT_EQ(got_state, want_state) << ctx;
+  ASSERT_EQ(swar_state, want_state) << ctx;
+  ASSERT_EQ(quiet_state, want_state) << ctx;
+  for (std::size_t i = 0; i < bursts * rs; ++i) {
+    const engine::BurstResult& expect = i % rs == 0 ? want[i / rs] : sentinel;
+    ASSERT_EQ(got[i], expect) << ctx << " slot " << i;
+    ASSERT_EQ(swar[i], expect) << ctx << " slot " << i;
+  }
+}
+
+TEST(KernelParity, Trellis8ResetMatchesSwarAndScalar) {
+  // kOpt at tie-prone weights — sums of 0.1 / 0.3 / 1/3 steps round
+  // differently when a multiply-add is fused into one rounding, so a
+  // SIMD trellis that lost the -ffp-contract=off pin fails here — plus
+  // the degenerate pure-DC / pure-AC pairs, and kOptFixed (its weights
+  // argument is ignored). Burst counts 0..17 cover two vector blocks
+  // plus every tail; strides 1 (x8), 8 (an x64 group slice) and 3 (the
+  // gather path), first and last group, result strides 1 and 3.
+  using engine::TrellisRule;
+  const std::pair<TrellisRule, CostWeights> kCases[] = {
+      {TrellisRule::kOpt, {0.1, 0.1}},
+      {TrellisRule::kOpt, {1.0 / 3.0, 2.0 / 3.0}},
+      {TrellisRule::kOpt, {0.3, 0.2}},
+      {TrellisRule::kOpt, {0.0, 1.0}},
+      {TrellisRule::kOpt, {1.0, 0.0}},
+      {TrellisRule::kOptFixed, {0.56, 0.44}}};
+  for (const KernelVariant* v : usable_variants())
+    for (const auto& [rule, w] : kCases)
+      for (const int stride : {1, 8, 3})
+        for (const int group : {0, stride - 1})
+          for (std::size_t bursts = 0; bursts <= 17; ++bursts)
+            for (const std::size_t rs : {std::size_t{1}, std::size_t{3}}) {
+              // Sized exactly, so an over-reading vector load trips the
+              // sanitizer builds.
+              const auto bytes = random_bytes(
+                  bursts * 8 * static_cast<std::size_t>(stride),
+                  2000 + bursts * 16 + static_cast<std::size_t>(stride));
+              expect_trellis8_parity(
+                  *v, rule, w, bytes, stride, group, bursts, rs,
+                  std::string(v->name()) +
+                      (rule == TrellisRule::kOpt ? " opt " : " opt-fixed ") +
+                      std::to_string(w.alpha) + "/" + std::to_string(w.beta) +
+                      " stride " + std::to_string(stride) + " group " +
+                      std::to_string(group) + " bursts " +
+                      std::to_string(bursts) + " rs " + std::to_string(rs));
+            }
+}
+
+TEST(KernelParity, Trellis8ResetTieProneBulk) {
+  // A longer x8 stream of low-entropy beats (a 6-symbol alphabet, so
+  // many beats repeat and path metrics tie often) at the tie-prone
+  // weights: enough equal-cost comparisons that a single rounding
+  // difference in the vector lanes shows up as a mask mismatch.
+  constexpr std::uint8_t kAlphabet[] = {0x00, 0xFF, 0x0F, 0xF0, 0x01, 0x7F};
+  workload::Xoshiro256 rng(4242);
+  std::vector<std::uint8_t> bytes(4096 * 8);
+  for (auto& b : bytes) b = kAlphabet[rng.next() % 6];
+  const CostWeights kWeights[] = {
+      {0.1, 0.1}, {1.0 / 3.0, 2.0 / 3.0}, {0.3, 0.2}, {0.7, 0.1}};
+  for (const KernelVariant* v : usable_variants())
+    for (const CostWeights& w : kWeights)
+      expect_trellis8_parity(*v, engine::TrellisRule::kOpt, w, bytes, 1, 0,
+                             4096, 1,
+                             std::string(v->name()) + " bulk " +
+                                 std::to_string(w.alpha) + "/" +
+                                 std::to_string(w.beta));
 }
 
 TEST(KernelParity, PackedResetFallbacksHonourTheFlag) {
@@ -670,6 +801,40 @@ TEST(KernelSession, ReportCoversTrellisAndPlanarPaths) {
   const Session opt(spec);
   EXPECT_EQ(opt.kernel_report().trellis, "swar");
   EXPECT_EQ(opt.kernel_report().fixed_encode, "n/a");
+
+  // The trellis report names the variant exactly when its trellis
+  // entry covers the spec: a byte group, BL8 and the state policy.
+  for (const KernelVariant* v : usable_variants())
+    for (const Scheme scheme : {Scheme::kOpt, Scheme::kOptFixed})
+      for (const StatePolicy policy :
+           {StatePolicy::kThread, StatePolicy::kResetPerBurst})
+        for (const Geometry& geometry :
+             {Geometry::narrow(8, 8), Geometry::wide(64, 8),
+              Geometry::narrow(8, 16), Geometry::narrow(5, 8)}) {
+          SessionSpec s;
+          s.scheme = scheme;
+          s.geometry = geometry;
+          s.state_policy = policy;
+          s.kernel = std::string(v->name());
+          const bool reset = policy == StatePolicy::kResetPerBurst;
+          const bool serves =
+              geometry.width() >= 8 &&
+              v->supports_trellis8(geometry.burst_length(), reset);
+          const std::string ctx =
+              std::string(v->name()) + " " +
+              std::string(scheme_name(scheme)) + " " + geometry.to_string() +
+              (reset ? " reset" : " threaded");
+          try {
+            const Session session(s);
+            EXPECT_EQ(session.kernel_report().trellis,
+                      serves ? v->name() : "swar")
+                << ctx;
+          } catch (const std::invalid_argument&) {
+            // Only a SIMD pin that serves no path of the spec may throw.
+            EXPECT_FALSE(serves) << ctx;
+            EXPECT_NE(v->isa(), engine::KernelIsa::kPortable) << ctx;
+          }
+        }
 
   spec.scheme = Scheme::kAc;
   spec.geometry = Geometry::narrow(5, 8);

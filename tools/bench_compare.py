@@ -54,8 +54,10 @@ FACADE_FLOOR = 0.98
 # process: the SIMD fixed-scheme encode kernels must earn their keep
 # (>= 1.5x), and no variant the registry would auto-select may be
 # slower than the portable reference on any path it serves (>= 1x) —
-# the decode paths and the per-burst-reset x8 AC encode with results
-# ("reset") included.
+# the decode paths, the per-burst-reset x8 AC encode with results
+# ("reset") and the per-burst-reset OPT-Fixed + OPT trellis with
+# results ("trellis_reset", null for variants that do not serve it)
+# included.
 # Variants whose ISA the bench machine lacks are reported as
 # skipped-isa, never failed.
 KERNEL_ENCODE_FLOOR = 1.5
@@ -114,10 +116,11 @@ def extract_metrics(name: str, doc: dict) -> dict[str, float]:
             if row["kernel"] == "swar" or not row["available"]:
                 continue  # the reference itself / ISA absent on this host
             for path in ("encode_x8", "encode_wide_x64", "decode_x8",
-                         "decode_wide_x64", "reset"):
-                metrics[f"kernel_vs_swar/{row['kernel']}/{path}"] = (
-                    row[f"{path}_vs_swar"]
-                )
+                         "decode_wide_x64", "reset", "trellis_reset"):
+                value = row.get(f"{path}_vs_swar")
+                if value is None:
+                    continue  # path outside the variant's envelope
+                metrics[f"kernel_vs_swar/{row['kernel']}/{path}"] = value
         for row in doc.get("select", []):
             if row["mode"] == "fixed":
                 continue  # absolute rows, trend-only
