@@ -44,6 +44,23 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Every byte group of a packed wide stream through encode_packed_group,
+/// in group order, threading states[g]: the kernel calls a single-lane
+/// wide Session makes. Burst i's group g lands in
+/// results[i * groups + g] when `results` is non-null.
+BurstStats encode_groups(const engine::BatchEncoder& enc,
+                         std::span<const std::uint8_t> bytes,
+                         const WideBusConfig& cfg, std::span<BusState> states,
+                         engine::BurstResult* results = nullptr) {
+  const int groups = cfg.groups();
+  BurstStats totals;
+  for (int g = 0; g < groups; ++g)
+    totals += enc.encode_packed_group(
+        bytes, cfg, g, states[static_cast<std::size_t>(g)],
+        results ? results + g : nullptr, static_cast<std::size_t>(groups));
+  return totals;
+}
+
 struct SchemeReport {
   std::string scheme;
   double scalar_mbps = 0;   // mega-bursts per second, virtual path
@@ -85,8 +102,8 @@ SchemeReport run_scheme(Scheme scheme, const CostWeights& w,
     rep.scalar_mbps = total_bursts / dt / 1e6;
   }
 
-  // (b) single-thread Session per lane (the facade's Burst-span fast
-  // path routes straight to the engine's lane kernel).
+  // (b) single-thread Session per lane (the Burst source packs each
+  // chunk and Session's chunk loop encodes it with the packed kernels).
   {
     SessionSpec spec;
     spec.scheme = scheme;
@@ -328,7 +345,7 @@ DecodeReport run_decode_wide(Scheme scheme, int bursts, int repeats) {
   for (int g = 0; g < groups; ++g)
     states[static_cast<std::size_t>(g)] =
         BusState::all_ones(cfg.group_config(g));
-  (void)engine.encode_packed_wide(payload, cfg, states, results.data());
+  (void)encode_groups(engine, payload, cfg, states, results.data());
   std::vector<std::uint64_t> masks(results.size());
   for (std::size_t i = 0; i < results.size(); ++i)
     masks[i] = results[i].invert_mask;
@@ -447,8 +464,8 @@ struct KernelWorkload {
     for (int g = 0; g < wide_cfg.groups(); ++g)
       states[static_cast<std::size_t>(g)] =
           BusState::all_ones(wide_cfg.group_config(g));
-    (void)enc.encode_packed_wide(wide_payload, wide_cfg, states,
-                                 wide_results.data());
+    (void)encode_groups(enc, wide_payload, wide_cfg, states,
+                        wide_results.data());
     for (const auto& r : wide_results) wide_masks.push_back(r.invert_mask);
     const engine::BatchDecoder dec;
     narrow_tx.resize(narrow_payload.size());
@@ -507,7 +524,7 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
           states[static_cast<std::size_t>(g)] =
               BusState::all_ones(wl.wide_cfg.group_config(g));
         const BurstStats s =
-            enc.encode_packed_wide(wl.wide_payload, wl.wide_cfg, states);
+            encode_groups(enc, wl.wide_payload, wl.wide_cfg, states);
         sink += s.zeros + s.transitions;
       }
       const double dt = seconds_since(t0);
@@ -634,6 +651,12 @@ FacadeReport facade_narrow(const std::vector<Burst>& lane, int repeats) {
   rep.label = "narrow_x8_lane/DBI AC";
   const BusConfig cfg = lane.front().config();
   const double total = static_cast<double>(lane.size()) * repeats;
+  // Both sides encode the same packed bytes (x8: one byte per beat).
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(lane.size() * static_cast<std::size_t>(cfg.burst_length));
+  for (const Burst& b : lane)
+    for (int t = 0; t < b.length(); ++t)
+      bytes.push_back(static_cast<std::uint8_t>(b.word(t)));
   const engine::BatchEncoder batch(Scheme::kAc);
   SessionSpec spec;
   spec.scheme = Scheme::kAc;
@@ -648,7 +671,7 @@ FacadeReport facade_narrow(const std::vector<Burst>& lane, int repeats) {
       const auto t0 = std::chrono::steady_clock::now();
       for (int r = 0; r < repeats; ++r) {
         BusState state = BusState::all_ones(cfg);
-        const BurstStats s = batch.encode_lane(lane, state);
+        const BurstStats s = batch.encode_packed(bytes, cfg, state);
         sink += s.zeros + s.transitions;
       }
       const double dt = seconds_since(t0);
@@ -659,7 +682,7 @@ FacadeReport facade_narrow(const std::vector<Burst>& lane, int repeats) {
       std::int64_t sink = 0;
       const auto t0 = std::chrono::steady_clock::now();
       for (int r = 0; r < repeats; ++r) {
-        const auto source = make_burst_source(lane);
+        const auto source = make_packed_source(bytes);
         const StreamStats s = session.run(*source);
         sink += s.zeros + s.transitions;
       }
@@ -695,7 +718,7 @@ FacadeReport facade_wide(std::span<const std::uint8_t> bytes, int width,
         for (int g = 0; g < cfg.groups(); ++g)
           states[static_cast<std::size_t>(g)] =
               BusState::all_ones(cfg.group_config(g));
-        const BurstStats s = batch.encode_packed_wide(bytes, cfg, states);
+        const BurstStats s = encode_groups(batch, bytes, cfg, states);
         sink += s.zeros + s.transitions;
       }
       const double dt = seconds_since(t0);

@@ -6,10 +6,10 @@
 //       RAM (the engine fast path behind the dbi::Session facade,
 //       sharded across the pool);
 //   (b) a trace-source Session streaming the same bursts back from the
-//       mmap'd file (the double-buffered zero-copy replay pipeline
-//       behind the facade), with the identical lane interleave
-//       (burst g -> lane g % lanes), so both paths encode the very
-//       same per-lane burst sequences.
+//       mmap'd file (Session's one chunk loop over zero-copy chunk
+//       views), with the identical lane interleave (burst g -> lane
+//       g % lanes), so both paths encode the very same per-lane burst
+//       sequences.
 // A streaming section records a zeros-heavy corpus with RLE compression
 // and replays it, reporting the on-disk ratio and throughput.
 // Emits one JSON object (BENCH_*.json trajectory format).

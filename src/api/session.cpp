@@ -6,16 +6,13 @@
 #include <stdexcept>
 #include <string>
 
-#include "trace/replay.hpp"
-#include "trace/trace_reader.hpp"
-
 namespace dbi {
 
 namespace {
 
-/// Block size (bursts) for int64 accumulation over the Burst-span fast
-/// path: BurstStats counts in int, 64K bursts stay far inside range.
-constexpr std::size_t kAccumBlockBursts = 1 << 16;
+/// Slice size (bursts) for multi-lane chunks: bounds each unit's
+/// gather scratch regardless of how large a span a source serves.
+constexpr std::int64_t kSliceBursts = 1 << 16;
 
 /// Gathered block size for the > 8-lane write_stream route: bounds the
 /// per-lane scratch at O(block) words regardless of stream size.
@@ -380,74 +377,6 @@ void Session::reset() {
   stats_ = StreamStats{};
 }
 
-StreamStats Session::run_replay(const trace::TraceReader& reader,
-                                Sink& sink) {
-  trace::ReplayOptions opt;
-  opt.lanes = spec_.lanes;
-  opt.reset_state_per_burst =
-      spec_.state_policy == StatePolicy::kResetPerBurst;
-  opt.pool = pool();
-  opt.double_buffer = spec_.double_buffer;
-  opt.obs = obs_;
-  if (sink.wants_results()) {
-    const int groups = spec_.geometry.groups();
-    opt.on_results = [&sink, groups](
-                         std::int64_t first_burst,
-                         std::span<const engine::BurstResult> results) {
-      SinkChunk chunk;
-      chunk.first_burst = first_burst;
-      chunk.bursts =
-          static_cast<std::int64_t>(results.size()) / std::max(groups, 1);
-      chunk.groups = groups;
-      chunk.results = results;
-      sink.consume(chunk);
-    };
-  }
-
-  // RLE volume is tallied per reader; fold only this run's delta into
-  // the monotonic counters so repeated runs don't double-count.
-  const trace::ReaderMetrics& rm = reader.metrics();
-  const std::uint64_t rle_chunks0 = rm.rle_chunks.load();
-  const std::uint64_t rle_in0 = rm.rle_bytes_compressed.load();
-  const std::uint64_t rle_out0 = rm.rle_bytes_expanded.load();
-
-  const StreamStats totals = trace::replay_trace(reader, engine_, opt);
-
-  if (obs_) {
-    obs_->rle_chunks.add(rm.rle_chunks.load() - rle_chunks0);
-    const std::uint64_t rle_in = rm.rle_bytes_compressed.load() - rle_in0;
-    const std::uint64_t rle_out = rm.rle_bytes_expanded.load() - rle_out0;
-    obs_->rle_bytes_compressed.add(rle_in);
-    obs_->rle_bytes_expanded.add(rle_out);
-    obs_->trace_file_bytes.set(static_cast<double>(reader.file_bytes()));
-    obs_->trace_payload_bytes.set(
-        static_cast<double>(reader.bursts()) *
-        static_cast<double>(spec_.geometry.bytes_per_burst()));
-    obs_->trace_crc_ns.set(static_cast<double>(rm.crc_ns));
-    if (rle_in > 0)
-      obs_->trace_rle_expand_ratio.set(static_cast<double>(rle_out) /
-                                       static_cast<double>(rle_in));
-  }
-  return totals;
-}
-
-StreamStats Session::run_bursts(std::span<const dbi::Burst> bursts) {
-  const dbi::BusConfig cfg = spec_.geometry.bus();
-  const dbi::BusState boundary = dbi::BusState::all_ones(cfg);
-  StreamStats totals;
-  dbi::BusState state = boundary;
-  for (std::size_t b0 = 0; b0 < bursts.size(); b0 += kAccumBlockBursts) {
-    const std::size_t n = std::min(kAccumBlockBursts, bursts.size() - b0);
-    const std::span<const dbi::Burst> block = bursts.subspan(b0, n);
-    const dbi::BurstStats s =
-        spec_.state_policy == StatePolicy::kResetPerBurst
-            ? engine_.boundary_totals(block, boundary)
-            : engine_.encode_lane(block, state);
-    totals.add(s, static_cast<std::int64_t>(n));
-  }
-  return totals;
-}
-
 StreamStats Session::run_chunks(Source& source, Sink& sink) {
   engine::StreamEncodeOptions so;
   so.lanes = spec_.lanes;
@@ -455,83 +384,148 @@ StreamStats Session::run_chunks(Source& source, Sink& sink) {
       spec_.state_policy == StatePolicy::kResetPerBurst;
   so.pool = pool();
   so.obs = obs_;
+  engine::StreamEncoder enc =
+      spec_.geometry.is_wide()
+          ? engine::StreamEncoder(engine_, spec_.geometry.wide_bus(), so)
+          : engine::StreamEncoder(engine_, spec_.geometry.bus(), so);
 
-  const bool collect = sink.wants_results();
+  const bool round_trip = spec_.direction == Direction::kRoundTrip;
+  const bool pass_results = sink.wants_results();
   const bool pass_payload = sink.wants_payload();
   const int groups = spec_.geometry.groups();
-
-  auto deliver = [&](std::int64_t first_burst, const SourceChunk& c,
-                     std::span<const engine::BurstResult> results) {
-    obs::ScopedSpan span(obs_, obs::Stage::kSinkWrite, first_burst,
-                         static_cast<std::int32_t>(std::min<std::int64_t>(
-                             c.bursts, INT32_MAX)));
-    SinkChunk chunk;
-    chunk.first_burst = first_burst;
-    chunk.bursts = c.bursts;
-    chunk.groups = groups;
-    if (pass_payload) chunk.payload = c.bytes;
-    chunk.results = results;
-    sink.consume(chunk);
-  };
-
-  // Multi-lane chunks gather each unit's slice into per-unit scratch;
-  // slicing big chunks bounds that scratch at O(kAccumBlockBursts)
-  // regardless of how large a span the source serves in one piece.
+  const auto bb = static_cast<std::size_t>(spec_.geometry.bytes_per_burst());
   // Single-lane streams encode in place, so slicing would only cost.
   const std::int64_t slice_bursts =
-      spec_.lanes > 1 ? static_cast<std::int64_t>(kAccumBlockBursts)
-                      : std::numeric_limits<std::int64_t>::max();
-  const auto bb = static_cast<std::size_t>(spec_.geometry.bytes_per_burst());
+      spec_.lanes > 1 ? kSliceBursts : std::numeric_limits<std::int64_t>::max();
 
   auto next_chunk = [&] {
     obs::ScopedSpan span(obs_, obs::Stage::kSourceRead);
     return source.next();
   };
 
-  auto encode_all = [&](engine::StreamEncoder& enc) {
-    StreamStats totals;
-    std::int64_t first_burst = 0;   // sink-facing, continuous over the run
-    std::int64_t stream_burst = 0;  // lane phase within the current stream
-    while (const auto c = next_chunk()) {
-      if (!c->masks.empty())
-        throw std::invalid_argument(
-            "Session::run: the source is already encoded (mask-carrying); "
-            "run a kDecode session instead of re-encoding it");
-      if (c->first_of_stream && first_burst > 0) {
-        // A new constituent stream (e.g. the next lake member): fresh
-        // all-ones line state and a restarted lane interleave, so the
-        // concatenated run stays bit-exact against per-stream replay.
-        // Totals keep accumulating; the sink's burst axis stays
-        // continuous.
-        enc.reset_states();
-        stream_burst = 0;
-      }
-      for (std::int64_t b0 = 0; b0 < c->bursts; b0 += slice_bursts) {
-        const std::int64_t n = std::min(slice_bursts, c->bursts - b0);
-        const SourceChunk slice{
-            c->bytes.subspan(static_cast<std::size_t>(b0) * bb,
-                             static_cast<std::size_t>(n) * bb),
-            n,
-            {}};
-        const auto results = enc.encode_chunk(
-            stream_burst, slice.bytes, static_cast<std::size_t>(n), collect);
-        deliver(first_burst, slice, results);
-        first_burst += n;
-        stream_burst += n;
-      }
+  std::vector<std::uint8_t> wire;    // round trip: receiver-side payload
+  std::vector<std::uint64_t> masks;  // round trip: the slice's DBI masks
+  std::int64_t first_burst = 0;   // sink-facing, continuous over the run
+  std::int64_t stream_burst = 0;  // lane phase within the current stream
+  while (const auto c = next_chunk()) {
+    if (!c->masks.empty())
+      throw std::invalid_argument(
+          round_trip
+              ? "Session::run: kRoundTrip takes payload sources; verify an "
+                "already-encoded trace with verify_encoded_trace / dbitool "
+                "verify"
+              : "Session::run: the source is already encoded "
+                "(mask-carrying); run a kDecode session instead of "
+                "re-encoding it");
+    if (c->first_of_stream && first_burst > 0) {
+      // A new constituent stream (e.g. the next lake member): fresh
+      // all-ones line state and a restarted lane interleave, so the
+      // concatenated run stays bit-exact against per-stream replay.
+      // Totals keep accumulating; the sink's burst axis stays
+      // continuous.
+      enc.reset_states();
+      stream_burst = 0;
     }
-    totals.bursts = enc.bursts();
-    totals.zeros = enc.zeros();
-    totals.transitions = enc.transitions();
-    return totals;
-  };
+    for (std::int64_t b0 = 0; b0 < c->bursts; b0 += slice_bursts) {
+      const std::int64_t n = std::min(slice_bursts, c->bursts - b0);
+      const auto bytes = c->bytes.subspan(static_cast<std::size_t>(b0) * bb,
+                                          static_cast<std::size_t>(n) * bb);
+      const auto results =
+          enc.encode_chunk(stream_burst, bytes, static_cast<std::size_t>(n),
+                            round_trip || pass_results);
+      if (round_trip)
+        round_trip_slice(first_burst, bytes, results, wire, masks);
 
-  if (spec_.geometry.is_wide()) {
-    engine::StreamEncoder enc(engine_, spec_.geometry.wide_bus(), so);
-    return encode_all(enc);
+      obs::ScopedSpan span(obs_, obs::Stage::kSinkWrite, first_burst,
+                           static_cast<std::int32_t>(
+                               std::min<std::int64_t>(n, INT32_MAX)));
+      SinkChunk chunk;
+      chunk.first_burst = first_burst;
+      chunk.bursts = n;
+      chunk.groups = groups;
+      if (pass_payload)
+        chunk.payload = round_trip ? std::span<const std::uint8_t>(wire)
+                                   : bytes;
+      if (pass_results) chunk.results = results;
+      sink.consume(chunk);
+      first_burst += n;
+      stream_burst += n;
+    }
   }
-  engine::StreamEncoder enc(engine_, spec_.geometry.bus(), so);
-  return encode_all(enc);
+
+  StreamStats totals;
+  totals.bursts = enc.bursts();
+  totals.zeros = enc.zeros();
+  totals.transitions = enc.transitions();
+  return totals;
+}
+
+void Session::round_trip_slice(std::int64_t first_burst,
+                               std::span<const std::uint8_t> bytes,
+                               std::span<const engine::BurstResult> results,
+                               std::vector<std::uint8_t>& wire,
+                               std::vector<std::uint64_t>& masks) {
+  const int groups = spec_.geometry.groups();
+  const int bl = spec_.geometry.burst_length();
+  const auto bpb = static_cast<std::size_t>(spec_.geometry.bytes_per_beat());
+  const auto bb = static_cast<std::size_t>(spec_.geometry.bytes_per_burst());
+  const bool wide = spec_.geometry.is_wide();
+
+  masks.resize(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i)
+    masks[i] = results[i].invert_mask;
+
+  // Materialise the wire stream, optionally corrupt it, then run the
+  // receiver over it — all on the same buffer.
+  wire.assign(bytes.begin(), bytes.end());
+  if (wide)
+    decoder_.apply_packed_wide(wire, masks, spec_.geometry.wide_bus(), wire,
+                               pool());
+  else
+    decoder_.apply_packed(wire, masks, spec_.geometry.bus(), wire, pool());
+  if (spec_.fault_injector) spec_.fault_injector(first_burst, wire, masks);
+  if (wide)
+    decoder_.decode_packed_wide(wire, masks, spec_.geometry.wide_bus(), wire,
+                                pool());
+  else
+    decoder_.decode_packed(wire, masks, spec_.geometry.bus(), wire, pool());
+
+  const auto n = static_cast<std::int64_t>(bytes.size() / bb);
+  verify_.bursts += n;
+  if (std::memcmp(wire.data(), bytes.data(), wire.size()) == 0) return;
+
+  // Beat mask of the differing beats of one burst's group (narrow
+  // groups span bytes_per_beat() bytes per beat; wide group g is the
+  // strided byte).
+  const auto diff_mask = [&](const std::uint8_t* original,
+                             const std::uint8_t* roundtripped, int group) {
+    std::uint64_t mask = 0;
+    for (int t = 0; t < bl; ++t) {
+      bool differs;
+      if (wide) {
+        const std::size_t at = static_cast<std::size_t>(t) *
+                                   static_cast<std::size_t>(groups) +
+                               static_cast<std::size_t>(group);
+        differs = original[at] != roundtripped[at];
+      } else {
+        const std::size_t at = static_cast<std::size_t>(t) * bpb;
+        differs = std::memcmp(original + at, roundtripped + at, bpb) != 0;
+      }
+      if (differs) mask |= std::uint64_t{1} << t;
+    }
+    return mask;
+  };
+  for (std::int64_t j = 0; j < n; ++j) {
+    const std::uint8_t* orig = bytes.data() + static_cast<std::size_t>(j) * bb;
+    const std::uint8_t* got = wire.data() + static_cast<std::size_t>(j) * bb;
+    if (std::memcmp(orig, got, bb) == 0) continue;
+    const std::int64_t burst = first_burst + j;
+    for (int g = 0; g < groups; ++g) {
+      const std::uint64_t mask = diff_mask(orig, got, g);
+      if (mask != 0)
+        verify_.record(burst, static_cast<int>(burst % spec_.lanes), g, mask);
+    }
+  }
 }
 
 StreamStats Session::run_decode(Source& source, Sink& sink) {
@@ -583,132 +577,6 @@ StreamStats Session::run_decode(Source& source, Sink& sink) {
     totals.bursts += c->bursts;
     first_burst += c->bursts;
   }
-  return totals;
-}
-
-StreamStats Session::run_roundtrip(Source& source, Sink& sink) {
-  engine::StreamEncodeOptions so;
-  so.lanes = spec_.lanes;
-  so.reset_state_per_burst =
-      spec_.state_policy == StatePolicy::kResetPerBurst;
-  so.pool = pool();
-  so.obs = obs_;
-
-  const bool pass_payload = sink.wants_payload();
-  const bool pass_results = sink.wants_results();
-  const int groups = spec_.geometry.groups();
-  const int lanes = spec_.lanes;
-  const int bl = spec_.geometry.burst_length();
-  const auto bpb = static_cast<std::size_t>(spec_.geometry.bytes_per_beat());
-  const auto bb = static_cast<std::size_t>(spec_.geometry.bytes_per_burst());
-  const bool wide = spec_.geometry.is_wide();
-  const dbi::BusConfig narrow_cfg =
-      wide ? dbi::BusConfig{} : spec_.geometry.bus();
-  const dbi::WideBusConfig wide_cfg =
-      wide ? spec_.geometry.wide_bus() : dbi::WideBusConfig{};
-
-  auto enc = wide ? std::make_unique<engine::StreamEncoder>(engine_, wide_cfg,
-                                                            so)
-                  : std::make_unique<engine::StreamEncoder>(engine_,
-                                                            narrow_cfg, so);
-
-  // Compares one round-tripped burst's group against the original and
-  // returns the beat mask of the differing beats (narrow groups span
-  // bytes_per_beat() bytes per beat; wide group g is the strided byte).
-  const auto diff_mask = [&](const std::uint8_t* original,
-                             const std::uint8_t* roundtripped, int group) {
-    std::uint64_t mask = 0;
-    for (int t = 0; t < bl; ++t) {
-      bool differs;
-      if (wide) {
-        const std::size_t at = static_cast<std::size_t>(t) *
-                                   static_cast<std::size_t>(groups) +
-                               static_cast<std::size_t>(group);
-        differs = original[at] != roundtripped[at];
-      } else {
-        const std::size_t at = static_cast<std::size_t>(t) * bpb;
-        differs =
-            std::memcmp(original + at, roundtripped + at, bpb) != 0;
-      }
-      if (differs) mask |= std::uint64_t{1} << t;
-    }
-    return mask;
-  };
-
-  const std::int64_t slice_bursts =
-      spec_.lanes > 1 ? static_cast<std::int64_t>(kAccumBlockBursts)
-                      : std::numeric_limits<std::int64_t>::max();
-
-  std::vector<std::uint8_t> wire;
-  std::vector<std::uint64_t> masks;
-  std::int64_t first_burst = 0;   // sink- and verify-facing, continuous
-  std::int64_t stream_burst = 0;  // lane phase within the current stream
-  while (const auto c = source.next()) {
-    if (c->bursts > 0 && !c->masks.empty())
-      throw std::invalid_argument(
-          "Session::run: kRoundTrip takes payload sources; verify an "
-          "already-encoded trace with verify_encoded_trace / dbitool "
-          "verify");
-    if (c->first_of_stream && first_burst > 0) {
-      enc->reset_states();
-      stream_burst = 0;
-    }
-    for (std::int64_t b0 = 0; b0 < c->bursts; b0 += slice_bursts) {
-      const std::int64_t n = std::min(slice_bursts, c->bursts - b0);
-      const auto bytes = c->bytes.subspan(static_cast<std::size_t>(b0) * bb,
-                                          static_cast<std::size_t>(n) * bb);
-      const auto results = enc->encode_chunk(
-          stream_burst, bytes, static_cast<std::size_t>(n), true);
-      masks.resize(results.size());
-      for (std::size_t i = 0; i < results.size(); ++i)
-        masks[i] = results[i].invert_mask;
-
-      // Materialise the wire stream, optionally corrupt it, then run
-      // the receiver over it — all on the same buffer.
-      wire.assign(bytes.begin(), bytes.end());
-      if (wide)
-        decoder_.apply_packed_wide(wire, masks, wide_cfg, wire, pool());
-      else
-        decoder_.apply_packed(wire, masks, narrow_cfg, wire, pool());
-      if (spec_.fault_injector) spec_.fault_injector(first_burst, wire, masks);
-      if (wide)
-        decoder_.decode_packed_wide(wire, masks, wide_cfg, wire, pool());
-      else
-        decoder_.decode_packed(wire, masks, narrow_cfg, wire, pool());
-
-      verify_.bursts += n;
-      if (std::memcmp(wire.data(), bytes.data(), wire.size()) != 0) {
-        for (std::int64_t j = 0; j < n; ++j) {
-          const std::uint8_t* orig =
-              bytes.data() + static_cast<std::size_t>(j) * bb;
-          const std::uint8_t* got =
-              wire.data() + static_cast<std::size_t>(j) * bb;
-          if (std::memcmp(orig, got, bb) == 0) continue;
-          const std::int64_t burst = first_burst + j;
-          for (int g = 0; g < groups; ++g) {
-            const std::uint64_t mask = diff_mask(orig, got, g);
-            if (mask != 0)
-              verify_.record(burst, static_cast<int>(burst % lanes), g, mask);
-          }
-        }
-      }
-
-      SinkChunk chunk;
-      chunk.first_burst = first_burst;
-      chunk.bursts = n;
-      chunk.groups = groups;
-      if (pass_payload) chunk.payload = wire;
-      if (pass_results) chunk.results = results;
-      sink.consume(chunk);
-      first_burst += n;
-      stream_burst += n;
-    }
-  }
-
-  StreamStats totals;
-  totals.bursts = enc->bursts();
-  totals.zeros = enc->zeros();
-  totals.transitions = enc->transitions();
   return totals;
 }
 
@@ -809,50 +677,17 @@ StreamStats Session::run(Source& source, Sink& sink) {
   sink.begin(spec_.geometry, spec_.lanes);
   verify_ = VerifyReport{};
 
+  // Every direction rejects a source of the wrong kind per chunk:
+  // encode and round trip refuse mask-carrying chunks, decode needs
+  // them.
   StreamStats totals;
-  const trace::TraceReader* reader = source.trace_reader();
-  if (spec_.direction == Direction::kDecode) {
-    if (reader && !reader->encoded())
-      throw std::invalid_argument(
-          "Session::run: kDecode needs an encoded trace (this one has no "
-          "mask stream)");
+  if (spec_.direction == Direction::kDecode)
     totals = run_decode(source, sink);
-    publish_stats(totals, /*whole_run=*/true);
-    sink.finish(totals);
-    return totals;
-  }
-  if (reader && reader->encoded())
-    throw std::invalid_argument(
-        "Session::run: the trace is already encoded; run a kDecode "
-        "session or verify_encoded_trace instead of re-encoding the "
-        "transmitted stream");
-  if (spec_.direction == Direction::kRoundTrip) {
-    totals = run_roundtrip(source, sink);
-    publish_stats(totals, /*whole_run=*/true);
-    sink.finish(totals);
-    return totals;
-  }
-  if (spec_.resolved_policy().adaptive()) {
+  else if (spec_.resolved_policy().adaptive())
     totals = run_adaptive(source, sink);
-    publish_stats(totals, /*whole_run=*/true);
-    sink.finish(totals);
-    return totals;
-  }
-
-  const std::span<const dbi::Burst> burst_span = source.bursts();
-  if (reader && !sink.wants_payload()) {
-    // mmap replay keeps the double-buffered producer and the zero-copy
-    // chunk views; payload-wanting sinks fall through to the generic
-    // loop, which still serves uncompressed chunks as views.
-    totals = run_replay(*reader, sink);
-  } else if (!burst_span.empty() && spec_.lanes == 1 &&
-             !spec_.geometry.is_wide() && !sink.wants_results() &&
-             !sink.wants_payload()) {
-    // Single-lane narrow Burst spans skip the packing pass entirely.
-    totals = run_bursts(burst_span);
-  } else {
+  else
     totals = run_chunks(source, sink);
-  }
+  if (obs_) source.publish(*obs_);
   publish_stats(totals, /*whole_run=*/true);
   sink.finish(totals);
   return totals;

@@ -10,13 +10,14 @@
 //   auto sink = make_stats_sink();             //    corpus / generator
 //   const StreamStats totals = session.run(*source, *sink);
 //
-// Session::run routes to the existing kernels with zero copy
-// preserved: trace-backed sources go through the double-buffered mmap
-// ReplayPipeline, single-lane narrow Burst spans through
-// BatchEncoder::encode_lane, and everything else through the shared
-// engine::StreamEncoder chunk loop — the BatchEncoder entry points and
-// the replay double-buffer are internal dispatch targets, not part of
-// the public surface.
+// Session::run has one fixed-scheme encode loop for every source:
+// chunks pulled from the Source go through the shared
+// engine::StreamEncoder (zero copy for single-lane streams and for
+// uncompressed trace chunks), and kEncode and kRoundTrip share it — a
+// round trip is that loop plus a per-slice apply / fault / decode /
+// verify step. kDecode and the adaptive policies have their own loops.
+// The BatchEncoder / StreamEncoder entry points are internal dispatch
+// targets, not part of the public surface.
 //
 // For memory-controller-style incremental traffic (workload::Channel
 // is a thin wrapper over this), write() / write_stream() consume
@@ -113,8 +114,6 @@ struct SessionSpec {
   /// Session::kernel_report(). Selection never changes results — every
   /// variant is bit-exact against "swar".
   std::string kernel;
-  /// Trace-backed sources: overlap chunk preparation with encoding.
-  bool double_buffer = true;
   Direction direction = Direction::kEncode;
   /// Round-trip sessions only: called once per chunk between encode
   /// and decode with the materialised transmitted bytes and the
@@ -271,11 +270,18 @@ class Session {
   /// Folds a completed surface's delta into the observer counters
   /// (bytes derived as bursts x geometry.bytes_per_burst()).
   void publish_stats(const StreamStats& delta, bool whole_run) const;
+  /// The fixed-scheme encode loop, shared by kEncode and kRoundTrip.
   StreamStats run_chunks(Source& source, Sink& sink);
-  StreamStats run_bursts(std::span<const dbi::Burst> bursts);
-  StreamStats run_replay(const trace::TraceReader& reader, Sink& sink);
+  /// kRoundTrip's per-slice step: materialises the wire stream of
+  /// `bytes` into `wire` from the slice's encode results, runs the
+  /// fault injector, decodes `wire` in place and records every
+  /// mismatch against `bytes` in verify_.
+  void round_trip_slice(std::int64_t first_burst,
+                        std::span<const std::uint8_t> bytes,
+                        std::span<const engine::BurstResult> results,
+                        std::vector<std::uint8_t>& wire,
+                        std::vector<std::uint64_t>& masks);
   StreamStats run_decode(Source& source, Sink& sink);
-  StreamStats run_roundtrip(Source& source, Sink& sink);
   StreamStats run_adaptive(Source& source, Sink& sink);
 
   SessionSpec spec_;

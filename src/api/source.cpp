@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/observer.hpp"
 #include "trace/trace_reader.hpp"
 #include "workload/corpus.hpp"
 #include "workload/generators.hpp"
@@ -59,8 +60,6 @@ class BurstSpanSource final : public Source {
     next_ += n;
     return SourceChunk{buffer_, n, {}};
   }
-
-  std::span<const dbi::Burst> bursts() const override { return bursts_; }
 
  private:
   std::span<const dbi::Burst> bursts_;
@@ -133,6 +132,13 @@ class TraceFileSource final : public Source {
                                   " does not match session geometry " +
                                   g.to_string());
     next_chunk_ = 0;
+    bb_ = static_cast<std::uint64_t>(g.bytes_per_burst());
+    // RLE volume is tallied per reader; publish() folds only this run's
+    // delta so repeated runs don't double-count.
+    const trace::ReaderMetrics& rm = reader_.metrics();
+    rle_chunks0_ = rm.rle_chunks.load();
+    rle_in0_ = rm.rle_bytes_compressed.load();
+    rle_out0_ = rm.rle_bytes_expanded.load();
   }
 
   std::optional<SourceChunk> next() override {
@@ -148,11 +154,29 @@ class TraceFileSource final : public Source {
     return chunk;
   }
 
-  const trace::TraceReader* trace_reader() const override { return &reader_; }
+  void publish(obs::Observer& obs) const override {
+    const trace::ReaderMetrics& rm = reader_.metrics();
+    const std::uint64_t rle_in = rm.rle_bytes_compressed.load() - rle_in0_;
+    const std::uint64_t rle_out = rm.rle_bytes_expanded.load() - rle_out0_;
+    obs.rle_chunks.add(rm.rle_chunks.load() - rle_chunks0_);
+    obs.rle_bytes_compressed.add(rle_in);
+    obs.rle_bytes_expanded.add(rle_out);
+    obs.trace_file_bytes.set(static_cast<double>(reader_.file_bytes()));
+    obs.trace_payload_bytes.set(static_cast<double>(reader_.bursts()) *
+                                static_cast<double>(bb_));
+    obs.trace_crc_ns.set(static_cast<double>(rm.crc_ns));
+    if (rle_in > 0)
+      obs.trace_rle_expand_ratio.set(static_cast<double>(rle_out) /
+                                     static_cast<double>(rle_in));
+  }
 
  private:
   const trace::TraceReader& reader_;
   std::size_t next_chunk_ = 0;
+  std::uint64_t bb_ = 0;
+  std::uint64_t rle_chunks0_ = 0;
+  std::uint64_t rle_in0_ = 0;
+  std::uint64_t rle_out0_ = 0;
   std::vector<std::uint8_t> scratch_;
   std::vector<std::uint8_t> mask_scratch_;
   std::vector<std::uint64_t> mask_words_;

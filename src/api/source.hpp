@@ -4,13 +4,12 @@
 // trace payload layout, which is also the engine's packed input
 // layout), so every producer — in-RAM Burst spans, packed byte spans,
 // mmap'd trace files, named corpus generators — feeds the same
-// Session::run pipeline. Sources with an intrinsic shape (traces,
-// Burst spans) verify the session geometry against it in bind();
-// generators configure themselves for whatever geometry the session
-// asks for. Two fast-path hooks let Session keep the zero-copy routes:
-// trace_reader() hands trace-backed sources to the double-buffered
-// mmap ReplayPipeline, and bursts() lets single-lane narrow streams go
-// through BatchEncoder::encode_lane without a packing pass.
+// Session::run chunk loop; there is no per-source fast path. Sources
+// with an intrinsic shape (traces, Burst spans) verify the session
+// geometry against it in bind(); generators configure themselves for
+// whatever geometry the session asks for. publish() is the one
+// observability hook: Session calls it once per run so a source can
+// report its own counters (the trace source's file and RLE gauges).
 #pragma once
 
 #include <cstdint>
@@ -21,6 +20,10 @@
 
 #include "api/geometry.hpp"
 #include "core/burst.hpp"
+
+namespace dbi::obs {
+class Observer;
+}  // namespace dbi::obs
 
 namespace dbi::trace {
 class TraceReader;
@@ -66,17 +69,10 @@ class Source {
   /// valid until the next call on this source.
   [[nodiscard]] virtual std::optional<SourceChunk> next() = 0;
 
-  /// Fast-path hook: non-null when the source streams a binary trace
-  /// the session can hand to the mmap replay pipeline unchanged.
-  [[nodiscard]] virtual const trace::TraceReader* trace_reader() const {
-    return nullptr;
-  }
-
-  /// Fast-path hook: non-empty when the whole stream is an in-RAM
-  /// Burst span the session can encode without a packing pass.
-  [[nodiscard]] virtual std::span<const dbi::Burst> bursts() const {
-    return {};
-  }
+  /// Publishes this source's own metrics for the run since the last
+  /// bind() into `obs`. Called by Session once at the end of every run,
+  /// in every direction, when observability is on. Default: nothing.
+  virtual void publish(obs::Observer& /*obs*/) const {}
 
  protected:
   Source() = default;

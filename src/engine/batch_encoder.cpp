@@ -278,100 +278,6 @@ BurstStats BatchEncoder::encode_packed_group(
   return totals;
 }
 
-BurstStats BatchEncoder::encode_packed_wide(std::span<const std::uint8_t> bytes,
-                                            const dbi::WideBusConfig& cfg,
-                                            std::span<dbi::BusState> states,
-                                            BurstResult* results) const {
-  cfg.validate();
-  const int groups = cfg.groups();
-  if (states.size() != static_cast<std::size_t>(groups))
-    throw std::invalid_argument(
-        "BatchEncoder::encode_packed_wide: got " +
-        std::to_string(states.size()) + " group states, width " +
-        std::to_string(cfg.width) + " needs " + std::to_string(groups));
-  BurstStats totals;
-  for (int g = 0; g < groups; ++g)
-    totals += encode_packed_group(
-        bytes, cfg, g, states[static_cast<std::size_t>(g)],
-        results ? results + g : nullptr, static_cast<std::size_t>(groups));
-  return totals;
-}
-
-void BatchEncoder::encode_wide_lanes(const dbi::WideBusConfig& cfg,
-                                     std::span<WideLaneTask> lanes,
-                                     ShardPool* pool) const {
-  cfg.validate();
-  const int groups = cfg.groups();
-  // Validate every lane before dispatching anything: a bad lane must
-  // not surface only after other units already advanced their states.
-  for (const WideLaneTask& t : lanes)
-    if (t.states.size() != static_cast<std::size_t>(groups))
-      throw std::invalid_argument(
-          "BatchEncoder::encode_wide_lanes: lane needs " +
-          std::to_string(groups) + " group states, got " +
-          std::to_string(t.states.size()));
-  const auto units = static_cast<int>(lanes.size()) * groups;
-  // Every (lane, group) unit writes its own slot; totals reduce after
-  // the pool drained, so the run stays barrier- and atomic-free.
-  std::vector<BurstStats> unit_totals(static_cast<std::size_t>(units));
-  auto run_unit = [this, &cfg, lanes, groups, &unit_totals](int u) {
-    WideLaneTask& t = lanes[static_cast<std::size_t>(u / groups)];
-    const int g = u % groups;
-    unit_totals[static_cast<std::size_t>(u)] = encode_packed_group(
-        t.bytes, cfg, g, t.states[static_cast<std::size_t>(g)],
-        t.results ? t.results + g : nullptr, static_cast<std::size_t>(groups));
-  };
-  if (pool) {
-    pool->run(units, run_unit);
-  } else {
-    for (int u = 0; u < units; ++u) run_unit(u);
-  }
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    lanes[l].totals = BurstStats{};
-    for (int g = 0; g < groups; ++g)
-      lanes[l].totals +=
-          unit_totals[l * static_cast<std::size_t>(groups) +
-                      static_cast<std::size_t>(g)];
-  }
-}
-
-BurstStats BatchEncoder::encode_lane(std::span<const Burst> bursts,
-                                     BusState& state,
-                                     BurstResult* results) const {
-  BurstStats totals;
-  for (std::size_t i = 0; i < bursts.size(); ++i) {
-    const BurstResult r = encode(bursts[i], state);
-    totals += r.stats;
-    if (results) results[i] = r;
-  }
-  return totals;
-}
-
-void BatchEncoder::encode_lanes(std::span<LaneTask> lanes,
-                                ShardPool* pool) const {
-  auto run_lane = [this, lanes](int i) {
-    LaneTask& t = lanes[static_cast<std::size_t>(i)];
-    if (!t.state)
-      throw std::invalid_argument("BatchEncoder::encode_lanes: null state");
-    t.totals = encode_lane(t.bursts, *t.state, t.results);
-  };
-  if (pool) {
-    pool->run(static_cast<int>(lanes.size()), run_lane);
-  } else {
-    for (int i = 0; i < static_cast<int>(lanes.size()); ++i) run_lane(i);
-  }
-}
-
-BurstStats BatchEncoder::boundary_totals(std::span<const Burst> bursts,
-                                         const BusState& boundary) const {
-  BurstStats totals;
-  for (const Burst& b : bursts) {
-    BusState state = boundary;
-    totals += encode(b, state).stats;
-  }
-  return totals;
-}
-
 dbi::EncodedBurst BatchEncoder::materialize(const Burst& data,
                                             const BurstResult& r) const {
   if (scheme_ == Scheme::kRaw) {

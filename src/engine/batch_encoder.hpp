@@ -24,55 +24,33 @@
 //
 // Wide buses (dbi::WideBusConfig, up to 64 DQ lines) decompose into
 // byte groups with one DBI line each, exactly like a x16/x32/x64
-// device: encode_packed_wide / encode_packed_group run the kernels
-// above per group directly over the beat-major packed payload (group
-// g's bytes read at stride groups(), zero widening pass), threading one
-// BusState per group. encode_wide_lanes shards (lane, group) units
-// across a ShardPool, so a single wide lane still parallelises
-// groups()-way.
+// device: encode_packed_group runs the kernels above for one group
+// directly over the beat-major packed payload (group g's bytes read at
+// stride groups(), zero widening pass), threading that group's
+// BusState. engine::StreamEncoder shards (lane, group) units across a
+// ShardPool, so a single wide lane still parallelises groups()-way.
 //
 // Results are compact BurstResult records (inversion mask + stats), not
 // EncodedBursts: callers that need the physical beats call
-// materialize(). BusState is threaded internally per lane; lanes can be
-// sharded across a ShardPool deterministically.
+// materialize(). Callers thread one BusState per lane (and group);
+// StreamEncoder does so for whole interleaved streams.
 #pragma once
 
 #include <memory>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "core/cost.hpp"
 #include "core/encoder.hpp"
 #include "core/encoding.hpp"
 #include "core/types.hpp"
 #include "engine/kernel_registry.hpp"
-#include "engine/shard_pool.hpp"
+
+namespace dbi::obs {
+class Observer;
+}  // namespace dbi::obs
 
 namespace dbi::engine {
-
-/// One lane's unit of work for encode_lanes(): an ordered burst stream,
-/// the lane's bus state (threaded through and updated in place), and a
-/// caller-owned output span with one slot per burst.
-struct LaneTask {
-  std::span<const dbi::Burst> bursts;
-  dbi::BusState* state = nullptr;
-  BurstResult* results = nullptr;  ///< nullable: stats-only encode
-  dbi::BurstStats totals;          ///< filled by encode_lanes()
-};
-
-/// One wide lane's unit of work for encode_wide_lanes(): a packed
-/// beat-major burst stream (cfg.bytes_per_burst() bytes per burst), one
-/// BusState per byte group (threaded through and updated in place), and
-/// an optional caller-owned result array with one slot per
-/// (burst, group) pair — burst i's group g lands in
-/// results[i * cfg.groups() + g].
-struct WideLaneTask {
-  std::span<const std::uint8_t> bytes;
-  std::span<dbi::BusState> states;  ///< cfg.groups() entries
-  BurstResult* results = nullptr;   ///< nullable: stats-only encode
-  dbi::BurstStats totals;           ///< filled: summed over all groups
-};
 
 class BatchEncoder {
  public:
@@ -112,19 +90,12 @@ class BatchEncoder {
   [[nodiscard]] BurstResult encode(const dbi::Burst& data,
                                    dbi::BusState& state) const;
 
-  /// Encodes a lane's stream in order, threading `state` through all
-  /// bursts. Writes one BurstResult per burst to `results` when it is
-  /// non-null (then it must hold bursts.size() slots) and returns the
-  /// summed stats.
-  dbi::BurstStats encode_lane(std::span<const dbi::Burst> bursts,
-                              dbi::BusState& state,
-                              BurstResult* results = nullptr) const;
-
   /// Flat-buffer variant for callers that keep payloads out of Burst
   /// objects: `words` holds consecutive bursts back to back (burst i is
   /// words[i * cfg.burst_length ... (i+1) * cfg.burst_length)), every
-  /// word already inside cfg.dq_mask(). Threads `state` like
-  /// encode_lane and returns the summed stats.
+  /// word already inside cfg.dq_mask(). Threads `state` through all
+  /// bursts in order, writes one BurstResult per burst to `results`
+  /// when it is non-null, and returns the summed stats.
   dbi::BurstStats encode_words(std::span<const dbi::Word> words,
                                const dbi::BusConfig& cfg,
                                dbi::BusState& state,
@@ -147,54 +118,21 @@ class BatchEncoder {
                                 std::size_t results_stride = 1,
                                 bool reset_per_burst = false) const;
 
-  /// Wide-bus packed encode: `bytes` holds consecutive beat-major wide
-  /// bursts (cfg.bytes_per_burst() bytes each, byte g of a beat carrying
-  /// byte group g — the trace format's wide payload layout and the
-  /// Channel write layout). Every group is encoded independently with
-  /// its own DBI line, threading states[g] (cfg.groups() entries);
-  /// kernels read the payload in place at stride cfg.groups(), so
-  /// mmap'd wide chunks replay with no widening pass. When `results` is
-  /// non-null it must hold bursts * cfg.groups() slots; burst i's group
-  /// g is written to results[i * cfg.groups() + g]. Returns the summed
-  /// stats of all groups.
-  dbi::BurstStats encode_packed_wide(std::span<const std::uint8_t> bytes,
-                                     const dbi::WideBusConfig& cfg,
-                                     std::span<dbi::BusState> states,
-                                     BurstResult* results = nullptr) const;
-
-  /// One group slice of a wide packed stream — the unit ReplayPipeline
-  /// and encode_wide_lanes shard on. Encodes group `group` of every
-  /// burst in `bytes`, threading `state` (or, with `reset_per_burst`,
-  /// starting every burst from the group's all-ones state); burst i's
-  /// result is written to results[i * results_stride] when `results`
-  /// is non-null.
+  /// One group slice of a wide packed stream — the unit StreamEncoder
+  /// shards on. `bytes` holds consecutive beat-major wide bursts
+  /// (cfg.bytes_per_burst() bytes each, byte g of a beat carrying byte
+  /// group g — the trace format's wide payload layout and the Channel
+  /// write layout); the kernels read group `group` in place at stride
+  /// cfg.groups(), so mmap'd wide chunks encode with no widening pass.
+  /// Threads `state` (or, with `reset_per_burst`, starts every burst
+  /// from the group's all-ones state); burst i's result is written to
+  /// results[i * results_stride] when `results` is non-null.
   dbi::BurstStats encode_packed_group(std::span<const std::uint8_t> bytes,
                                       const dbi::WideBusConfig& cfg, int group,
                                       dbi::BusState& state,
                                       BurstResult* results = nullptr,
                                       std::size_t results_stride = 1,
                                       bool reset_per_burst = false) const;
-
-  /// Encodes many independent wide lanes, sharding at group
-  /// granularity: unit (lane l, group g) runs on worker
-  /// (l * cfg.groups() + g) % pool->workers() (deterministic), so even
-  /// a single x64 lane spreads across cfg.groups() workers. Without a
-  /// pool, units run serially in index order; results are identical
-  /// either way.
-  void encode_wide_lanes(const dbi::WideBusConfig& cfg,
-                         std::span<WideLaneTask> lanes,
-                         ShardPool* pool = nullptr) const;
-
-  /// Encodes many independent lanes. With a pool, lane i runs on worker
-  /// i % pool->workers() (deterministic, work-stealing-free); without
-  /// one, lanes run serially in index order. Results are identical
-  /// either way.
-  void encode_lanes(std::span<LaneTask> lanes, ShardPool* pool = nullptr) const;
-
-  /// Sum of per-burst stats with the paper's fixed boundary condition
-  /// (state reset to `boundary` before every burst, not threaded).
-  [[nodiscard]] dbi::BurstStats boundary_totals(
-      std::span<const dbi::Burst> bursts, const dbi::BusState& boundary) const;
 
   /// Reconstructs the full physical burst for callers that need beats.
   [[nodiscard]] dbi::EncodedBurst materialize(const dbi::Burst& data,

@@ -1,14 +1,15 @@
 // StreamEncoder: lane/group-sharded encoding of a packed burst stream,
 // one chunk at a time.
 //
-// This is the shared core behind every streaming front-end: the
-// trace::ReplayPipeline feeds it chunks straight off the mmap'd file,
-// and dbi::Session feeds it chunks pulled from any Source (in-RAM
-// packed spans, generators, trace views). The stream is interpreted
-// like a workload::Channel write sequence: burst g belongs to lane
-// g % lanes, and each (lane, byte group) pair is one shard unit with
-// its own threaded BusState — so a single x64 lane still spreads
-// across 8 workers. Totals accumulate in 64-bit counters internally
+// This is the shared core behind every streaming front-end:
+// dbi::Session's one encode loop feeds it chunks pulled from any Source
+// (in-RAM packed spans, generators, views straight off a mmap'd trace
+// file); the selector, dbid, verify and Session's incremental write
+// surface drive it too. The stream is interpreted like a
+// workload::Channel write sequence: burst g belongs to lane g % lanes,
+// and each (lane, byte group) pair is one shard unit with its own
+// threaded BusState — so a single x64 lane still spreads across 8
+// workers. Totals accumulate in 64-bit counters internally
 // (chunks of any size are block-split so BurstStats's int fields never
 // overflow), and single-lane streams are encoded in place with zero
 // copy (wide groups read their bytes at stride groups()). Each unit

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string_view>
@@ -273,6 +274,21 @@ std::string LakeReader::member_path(std::size_t i) const {
   if (dir_.empty())
     throw LakeError("lake: catalog has no backing directory");
   return join(dir_, members_.at(i).name);
+}
+
+std::unique_ptr<trace::TraceReader> LakeReader::open_member(
+    std::size_t i, bool verify_crc) const {
+  const LakeMember& m = members_.at(i);
+  auto reader = std::make_unique<trace::TraceReader>(
+      trace::TraceReader::open(member_path(i), verify_crc));
+  const dbi::Geometry got =
+      reader->wide() ? dbi::Geometry::of(reader->header().wide_config())
+                     : dbi::Geometry::of(reader->config());
+  if (got != m.geometry() || reader->bursts() != m.stats.bursts)
+    throw LakeError("lake: member " + m.name +
+                    " no longer matches its catalog record "
+                    "(re-run dbitool lake add)");
+  return reader;
 }
 
 void LakeReader::check_members() const {

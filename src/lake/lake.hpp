@@ -58,12 +58,17 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "api/geometry.hpp"
 #include "workload/trace.hpp"
+
+namespace dbi::trace {
+class TraceReader;
+}  // namespace dbi::trace
 
 namespace dbi::lake {
 
@@ -145,6 +150,15 @@ class LakeReader {
 
   /// Absolute (dir-joined) path of member `i`.
   [[nodiscard]] std::string member_path(std::size_t i) const;
+
+  /// Opens member `i` for replay (whole-file CRC pass when
+  /// `verify_crc`). Throws LakeError when the file no longer matches its
+  /// catalog record (geometry or burst count), so a member that changed
+  /// after the catalog's stale check — or with checking disabled — is
+  /// never served as another geometry's stream. Requires a
+  /// directory-backed reader.
+  [[nodiscard]] std::unique_ptr<trace::TraceReader> open_member(
+      std::size_t i, bool verify_crc) const;
 
   /// Deep verification: re-opens every member through TraceReader
   /// (whole-file CRC, chunk-index walk). Throws LakeError naming the

@@ -12,25 +12,6 @@
 
 namespace dbi::lake {
 
-namespace {
-
-[[nodiscard]] std::unique_ptr<trace::TraceReader> open_member(
-    const LakeReader& lake, std::size_t idx, bool verify_crc) {
-  const LakeMember& m = lake.members()[idx];
-  auto reader = std::make_unique<trace::TraceReader>(
-      trace::TraceReader::open(lake.member_path(idx), verify_crc));
-  const dbi::Geometry got =
-      reader->wide() ? dbi::Geometry::of(reader->header().wide_config())
-                     : dbi::Geometry::of(reader->config());
-  if (got != m.geometry() || reader->bursts() != m.stats.bursts)
-    throw LakeError("lake: member " + m.name +
-                    " no longer matches its catalog record "
-                    "(re-run dbitool lake add)");
-  return reader;
-}
-
-}  // namespace
-
 LakeReplayResult replay_lake(const LakeReader& lake,
                              const dbi::SessionSpec& spec,
                              const LakeReplayOptions& options) {
@@ -82,10 +63,10 @@ LakeReplayResult replay_lake(const LakeReader& lake,
       try {
         std::unique_ptr<trace::TraceReader> reader =
             pending.valid() ? pending.get()
-                            : open_member(lake, k, options.verify_crc);
+                            : lake.open_member(k, options.verify_crc);
         if (options.readahead && k + 1 < n)
           pending = std::async(std::launch::async, [&lake, &options, k] {
-            return open_member(lake, k + 1, options.verify_crc);
+            return lake.open_member(k + 1, options.verify_crc);
           });
         run_member(k, std::move(reader));
       } catch (...) {
@@ -103,7 +84,7 @@ LakeReplayResult replay_lake(const LakeReader& lake,
         for (std::size_t k = next.fetch_add(1); k < n;
              k = next.fetch_add(1)) {
           try {
-            run_member(k, open_member(lake, k, options.verify_crc));
+            run_member(k, lake.open_member(k, options.verify_crc));
           } catch (...) {
             errors[k] = std::current_exception();
           }

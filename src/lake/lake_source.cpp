@@ -12,11 +12,6 @@ namespace dbi::lake {
 
 namespace {
 
-[[nodiscard]] dbi::Geometry reader_geometry(const trace::TraceReader& r) {
-  return r.wide() ? dbi::Geometry::of(r.header().wide_config())
-                  : dbi::Geometry::of(r.config());
-}
-
 /// Pages a freshly opened member in when no CRC pass did: one byte per
 /// page of every chunk payload (uncompressed chunks are views straight
 /// into the mapping, so this walks the file itself).
@@ -89,18 +84,7 @@ class LakeSource final : public dbi::Source {
  private:
   [[nodiscard]] std::unique_ptr<trace::TraceReader> open_member(
       std::size_t member_index, bool prefetching) const {
-    const LakeMember& m = lake_.members()[member_index];
-    auto reader = std::make_unique<trace::TraceReader>(
-        trace::TraceReader::open(lake_.member_path(member_index),
-                                 opt_.verify_crc));
-    // Catch a member that changed after the catalog's stale check (or
-    // with checking disabled) before serving its bytes as another
-    // geometry's stream.
-    if (reader_geometry(*reader) != m.geometry() ||
-        reader->bursts() != m.stats.bursts)
-      throw LakeError("lake: member " + m.name +
-                      " no longer matches its catalog record "
-                      "(re-run dbitool lake add)");
+    auto reader = lake_.open_member(member_index, opt_.verify_crc);
     if (prefetching && !opt_.verify_crc) touch_pages(*reader);
     return reader;
   }

@@ -34,7 +34,7 @@ run_dbitool(0 encode trace.txt --scheme opt-fixed)
 run_dbitool(0 record --corpus float-tensor --bursts 2000 --seed 5 -o t.dbt)
 run_dbitool(0 inspect t.dbt)
 run_dbitool(0 replay t.dbt --lanes 4 --workers 2)
-run_dbitool(0 replay t.dbt --scheme ac --lanes 1 --no-double-buffer --csv)
+run_dbitool(0 replay t.dbt --scheme ac --lanes 1 --csv)
 run_dbitool(0 record --source uniform --bursts 100 --seed 1 --no-compress
             -o u.dbt)
 run_dbitool(0 corpus)

@@ -495,6 +495,21 @@ TEST(SessionDirections, RejectMisuse) {
     auto source = make_packed_source(payload);
     EXPECT_THROW((void)session.run(*source), std::invalid_argument);
   }
+  {  // kDecode refuses a payload (unencoded) trace too.
+    std::ostringstream os(std::ios::binary);
+    trace::TraceWriter writer(os, g.bus());
+    writer.write_packed(payload);
+    writer.finish();
+    const std::string image = os.str();
+    const auto plain = trace::TraceReader::from_bytes(
+        std::vector<std::uint8_t>(image.begin(), image.end()));
+    ASSERT_FALSE(plain.encoded());
+    SessionSpec spec;
+    spec.direction = Direction::kDecode;
+    Session session(spec);
+    auto source = make_trace_source(plain);
+    EXPECT_THROW((void)session.run(*source), std::invalid_argument);
+  }
   {  // kEncode refuses an encoded source (both trace and packed).
     Session session{SessionSpec{}};
     auto source = make_trace_source(reader);

@@ -90,7 +90,8 @@ TEST(EngineParity, EncodeLaneMatchesPerBurstEncode) {
   BusState a = BusState::all_ones(cfg);
   BusState b = BusState::all_ones(cfg);
   std::vector<engine::BurstResult> lane_results(bursts.size());
-  const BurstStats totals = batch.encode_lane(bursts, a, lane_results.data());
+  const BurstStats totals = batch.encode_packed(
+      test::pack_bursts(bursts), cfg, a, lane_results.data());
 
   BurstStats want_totals;
   for (std::size_t i = 0; i < bursts.size(); ++i) {
@@ -114,7 +115,10 @@ TEST(EngineParity, BoundaryTotalsMatchScalarBoundaryLoop) {
     for (const Burst& b : bursts)
       want += scalar->encode(b, boundary).stats(boundary);
     const engine::BatchEncoder batch(s, w);
-    EXPECT_EQ(batch.boundary_totals(bursts, boundary), want)
+    BusState state = boundary;
+    EXPECT_EQ(batch.encode_packed(test::pack_bursts(bursts), cfg, state,
+                                  nullptr, 1, /*reset_per_burst=*/true),
+              want)
         << scheme_name(s);
   }
 }

@@ -20,6 +20,7 @@
 #include "engine/kernel_registry.hpp"
 #include "engine/shard_pool.hpp"
 #include "engine/stream_encoder.hpp"
+#include "test_util.hpp"
 #include "workload/rng.hpp"
 
 namespace dbi {
@@ -219,9 +220,9 @@ void expect_wide_parity(const KernelVariant& variant, Scheme scheme,
         BusState::all_ones(cfg.group_config(static_cast<int>(g)));
 
   const BurstStats want_totals =
-      ref.encode_packed_wide(bytes, cfg, ref_states, want.data());
+      test::encode_groups(ref, bytes, cfg, ref_states, want.data());
   const BurstStats got_totals =
-      dut.encode_packed_wide(bytes, cfg, dut_states, got.data());
+      test::encode_groups(dut, bytes, cfg, dut_states, got.data());
   EXPECT_EQ(got_totals, want_totals) << variant.name();
   for (std::size_t g = 0; g < groups; ++g)
     ASSERT_EQ(dut_states[g], ref_states[g]) << variant.name() << " group "
@@ -701,7 +702,7 @@ TEST(KernelParity, WideDecodeAllVariantsMatchesPortableAndRoundTrips) {
         states[g] = BusState::all_ones(cfg.group_config(static_cast<int>(g)));
       std::vector<engine::BurstResult> results(
           static_cast<std::size_t>(bursts) * groups);
-      enc.encode_packed_wide(payload, cfg, states, results.data());
+      test::encode_groups(enc, payload, cfg, states, results.data());
       std::vector<std::uint64_t> masks;
       for (const auto& r : results) masks.push_back(r.invert_mask);
 
@@ -756,19 +757,14 @@ TEST(KernelParity, PooledWideEncodeIsDeterministicPerVariant) {
     enc.set_kernel(*v);
 
     auto run = [&](engine::ShardPool* p) {
-      std::vector<BusState> states(8);
-      for (int g = 0; g < 8; ++g)
-        states[static_cast<std::size_t>(g)] =
-            BusState::all_ones(cfg.group_config(g));
-      engine::WideLaneTask task;
-      task.bytes = bytes;
-      task.states = states;
-      std::vector<engine::WideLaneTask> lanes{task};
-      enc.encode_wide_lanes(cfg, lanes, p);
-      return lanes[0].totals;
+      engine::StreamEncodeOptions so;
+      so.pool = p;
+      engine::StreamEncoder stream(enc, cfg, so);
+      (void)stream.encode_chunk(0, bytes, static_cast<std::size_t>(bursts));
+      return std::pair{stream.zeros(), stream.transitions()};
     };
-    const BurstStats serial = run(nullptr);
-    const BurstStats pooled = run(&pool);
+    const auto serial = run(nullptr);
+    const auto pooled = run(&pool);
     ASSERT_EQ(pooled, serial) << v->name();
   }
 }

@@ -332,6 +332,25 @@ TEST(Observer, SharedExternalObserverAggregatesConcurrentSessions) {
   EXPECT_EQ(s.value("dbi_transitions_total"), static_cast<double>(transitions));
 }
 
+/// Names of the complete ("X") spans in a kFull session's Chrome trace
+/// JSON (which must parse back).
+std::set<std::string> span_names(const Session& session) {
+  std::set<std::string> names;
+  EXPECT_NE(session.observer(), nullptr);
+  if (!session.observer()) return names;
+  std::ostringstream os;
+  EXPECT_TRUE(session.observer()->write_trace_json(os));
+  const json::Value doc = json::parse(os.str());
+  const json::Value* events = doc.get("traceEvents");
+  EXPECT_NE(events, nullptr);
+  if (!events) return names;
+  EXPECT_TRUE(events->is_array());
+  for (const json::Value& e : events->array)
+    if (e.get_string("ph") == "X")
+      names.insert(std::string(e.get_string("name")));
+  return names;
+}
+
 TEST(Observer, TraceJsonFromFullSessionParsesAndNamesStages) {
   const auto reader = make_trace(256, 64);
   SessionSpec spec;
@@ -342,25 +361,32 @@ TEST(Observer, TraceJsonFromFullSessionParsesAndNamesStages) {
   const auto source = make_trace_source(reader);
   (void)session.run(*source);
 
-  ASSERT_NE(session.observer(), nullptr);
-  std::ostringstream os;
-  ASSERT_TRUE(session.observer()->write_trace_json(os));
-  const json::Value doc = json::parse(os.str());
-  const json::Value* events = doc.get("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  std::set<std::string> names;
-  for (const json::Value& e : events->array)
-    if (e.get_string("ph") == "X")
-      names.insert(std::string(e.get_string("name")));
+  const std::set<std::string> names = span_names(session);
   EXPECT_TRUE(names.count("encode_chunk"));
-  EXPECT_TRUE(names.count("chunk_prepare"));
+  // RLE expansion and page-in run inside Source::next().
+  EXPECT_TRUE(names.count("source_read"));
   // The stage histograms were fed by the same spans.
   const Snapshot s = session.metrics_report();
   const MetricPoint* enc =
       s.find("dbi_stage_duration_ns", "stage=\"encode_chunk\"");
   ASSERT_NE(enc, nullptr);
   EXPECT_GE(enc->count, static_cast<std::uint64_t>(reader.chunk_count()));
+}
+
+TEST(Observer, RoundTripSessionEmitsSourceAndSinkSpans) {
+  const auto reader = make_trace(256, 64);
+  SessionSpec spec;
+  spec.scheme = Scheme::kAc;
+  spec.direction = Direction::kRoundTrip;
+  spec.obs.level = ObsLevel::kFull;
+  Session session(spec);
+  const auto source = make_trace_source(reader);
+  (void)session.run(*source);
+  EXPECT_TRUE(session.verify_report().ok());
+
+  const std::set<std::string> names = span_names(session);
+  EXPECT_TRUE(names.count("source_read"));
+  EXPECT_TRUE(names.count("sink_write"));
 }
 
 TEST(Observer, CountersLevelWritesNoTrace) {
@@ -374,8 +400,9 @@ TEST(Observer, CountersLevelWritesNoTrace) {
     ScopedSpan span(&obs, Stage::kEncodeChunk, 1, 2);
     EXPECT_FALSE(span.active());
   }
+  const Snapshot snap = obs.snapshot();  // p points into it
   const MetricPoint* p =
-      obs.snapshot().find("dbi_stage_duration_ns", "stage=\"encode_chunk\"");
+      snap.find("dbi_stage_duration_ns", "stage=\"encode_chunk\"");
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->count, 0u);
 }
@@ -397,12 +424,12 @@ TEST(Observer, SharedObserverAggregatesAcrossSessions) {
   EXPECT_EQ(s.value("dbi_bursts_total"), static_cast<double>(sum.bursts));
 }
 
-TEST(Observer, VerifyEncodedTracePublishesTotals) {
-  // Round-trip an encoded in-memory trace through verify_encoded_trace
-  // with an observer: run totals and chunk counts must be exact.
+/// An in-memory trace of `bursts` uniform x8 bursts recorded with their
+/// DBI AC decisions (mask stream), in chunks of 64 bursts.
+trace::TraceReader make_encoded_trace(std::int64_t bursts) {
   const BusConfig cfg{8, 8};
   auto src = workload::make_uniform_source(cfg, 5);
-  const auto trace = workload::BurstTrace::collect(*src, 200);
+  const auto trace = workload::BurstTrace::collect(*src, bursts);
   std::ostringstream os(std::ios::binary);
   trace::TraceWriterOptions opt;
   opt.bursts_per_chunk = 64;
@@ -419,8 +446,14 @@ TEST(Observer, VerifyEncodedTracePublishesTotals) {
     (void)session.run(*source, *sink);
   }
   const std::string bytes = os.str();
-  const auto reader = trace::TraceReader::from_bytes(
+  return trace::TraceReader::from_bytes(
       std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+}
+
+TEST(Observer, VerifyEncodedTracePublishesTotals) {
+  // Round-trip an encoded in-memory trace through verify_encoded_trace
+  // with an observer: run totals and chunk counts must be exact.
+  const auto reader = make_encoded_trace(200);
 
   Observer obs(ObsConfig{.level = ObsLevel::kCounters});
   VerifyOptions vopt;
@@ -431,6 +464,24 @@ TEST(Observer, VerifyEncodedTracePublishesTotals) {
   EXPECT_EQ(s.value("dbi_bursts_total"), static_cast<double>(report.bursts));
   EXPECT_EQ(s.value("dbi_chunks_total"),
             static_cast<double>(reader.chunk_count()));
+}
+
+TEST(Observer, DecodeSessionPublishesTraceGauges) {
+  // The trace source publishes its file gauges in every direction, not
+  // just on encode runs.
+  const auto reader = make_encoded_trace(200);
+  SessionSpec spec;
+  spec.direction = Direction::kDecode;
+  spec.obs.level = ObsLevel::kCounters;
+  Session session(spec);
+  const auto source = make_trace_source(reader);
+  const StreamStats totals = session.run(*source);
+  EXPECT_EQ(totals.bursts, 200);
+  const Snapshot s = session.metrics_report();
+  EXPECT_EQ(s.value("dbi_trace_file_bytes"),
+            static_cast<double>(reader.file_bytes()));
+  EXPECT_EQ(s.value("dbi_trace_payload_bytes"),
+            static_cast<double>(200 * spec.geometry.bytes_per_burst()));
 }
 
 // ------------------------------------------------ zero-burst regression

@@ -1,18 +1,18 @@
-// ReplayPipeline: streaming replay must be observationally identical —
-// stats and per-burst inversion masks — to the in-memory Channel /
-// BatchEncoder paths, for every Scheme, sharded or serial, buffered or
-// not, compressed or raw.
+// Trace replay through dbi::Session: streaming a binary trace must be
+// observationally identical — stats and per-burst inversion masks — to
+// the in-memory Channel / BatchEncoder paths, for every Scheme, sharded
+// or serial, compressed or raw.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <sstream>
 #include <vector>
 
+#include "api/session.hpp"
 #include "engine/batch_encoder.hpp"
 #include "engine/shard_pool.hpp"
 #include "power/interface_energy.hpp"
 #include "sim/experiments.hpp"
-#include "trace/replay.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 #include "workload/channel.hpp"
@@ -41,6 +41,42 @@ TraceReader reader_for(const workload::BurstTrace& trace,
   const std::string s = os.str();
   return TraceReader::from_bytes(std::vector<std::uint8_t>(s.begin(),
                                                            s.end()));
+}
+
+struct ReplayArgs {
+  int lanes = 1;
+  bool reset_per_burst = false;
+  engine::ShardPool* pool = nullptr;
+};
+
+/// Replays `reader` through a Session over make_trace_source. When
+/// `masks` is non-null it receives every (burst, group) inversion mask,
+/// placed by the sink's first_burst (burst j's group g at
+/// j * groups + g).
+StreamStats replay(const TraceReader& reader, Scheme s,
+                   const CostWeights& w = {}, const ReplayArgs& args = {},
+                   std::vector<std::uint64_t>* masks = nullptr) {
+  SessionSpec spec;
+  spec.policy = s;
+  spec.weights = w;
+  spec.geometry = reader.wide() ? Geometry::of(reader.header().wide_config())
+                                : Geometry::of(reader.config());
+  spec.lanes = args.lanes;
+  spec.state_policy = args.reset_per_burst ? StatePolicy::kResetPerBurst
+                                           : StatePolicy::kThread;
+  spec.pool = args.pool;
+  Session session(spec);
+  const auto source = make_trace_source(reader);
+  if (!masks) return session.run(*source);
+  const auto groups = static_cast<std::size_t>(spec.geometry.groups());
+  masks->assign(static_cast<std::size_t>(reader.bursts()) * groups, 0);
+  const auto sink = make_observer_sink(
+      [&](std::int64_t first, std::span<const engine::BurstResult> results) {
+        const auto base = static_cast<std::size_t>(first) * groups;
+        for (std::size_t i = 0; i < results.size(); ++i)
+          (*masks)[base + i] = results[i].invert_mask;
+      });
+  return session.run(*source, *sink);
 }
 
 /// Reference: encode burst g with lane (g % lanes)'s threaded state via
@@ -79,16 +115,9 @@ TEST(Replay, MatchesPerBurstEngineForEverySchemeWithMasks) {
     for (const int lanes : {1, 3, 8}) {
       const Reference ref = reference_replay(trace, encoder, lanes);
 
-      std::vector<std::uint64_t> masks(trace.size());
-      ReplayOptions opt;
-      opt.lanes = lanes;
-      opt.on_results = [&](std::int64_t first,
-                           std::span<const engine::BurstResult> results) {
-        for (std::size_t i = 0; i < results.size(); ++i)
-          masks[static_cast<std::size_t>(first) + i] =
-              results[i].invert_mask;
-      };
-      const ReplayTotals totals = replay_trace(reader, encoder, opt);
+      std::vector<std::uint64_t> masks;
+      const StreamStats totals =
+          replay(reader, s, w, {.lanes = lanes}, &masks);
       EXPECT_EQ(totals.bursts, static_cast<std::int64_t>(trace.size()));
       EXPECT_EQ(totals.zeros, ref.zeros) << scheme_name(s) << " lanes "
                                          << lanes;
@@ -106,9 +135,8 @@ TEST(Replay, ExhaustiveSchemeFallsBackToScalarAndMatches) {
                                      CostWeights{0.5, 0.5});
   const auto reader = reader_for(trace, 16);
   const Reference ref = reference_replay(trace, encoder, 2);
-  ReplayOptions opt;
-  opt.lanes = 2;
-  const ReplayTotals totals = replay_trace(reader, encoder, opt);
+  const StreamStats totals = replay(reader, Scheme::kExhaustive,
+                                    CostWeights{0.5, 0.5}, {.lanes = 2});
   EXPECT_EQ(totals.zeros, ref.zeros);
   EXPECT_EQ(totals.transitions, ref.transitions);
 }
@@ -142,54 +170,39 @@ TEST(Replay, MatchesChannelWriteStream) {
     workload::Channel channel(ccfg, s);
     const workload::ChannelStats want = channel.write_stream(data);
 
-    const engine::BatchEncoder encoder(s);
     const auto reader = reader_for(trace, 128);
-    ReplayOptions opt;
-    opt.lanes = ccfg.lanes;
-    const ReplayTotals got = replay_trace(reader, encoder, opt);
+    const StreamStats got = replay(reader, s, {}, {.lanes = ccfg.lanes});
     EXPECT_EQ(got.bursts, kWrites * ccfg.lanes);
     EXPECT_EQ(got.zeros, want.zeros) << scheme_name(s);
     EXPECT_EQ(got.transitions, want.transitions) << scheme_name(s);
   }
 }
 
-TEST(Replay, PoolSerialAndBufferingModesAgree) {
+TEST(Replay, PoolAndSerialAgree) {
   const auto trace = random_trace(BusConfig{8, 8}, 500, 21);
-  const engine::BatchEncoder encoder(Scheme::kAcDc);
   const auto reader = reader_for(trace, 64);
 
-  ReplayOptions serial;
-  serial.lanes = 4;
-  serial.double_buffer = false;
-  const ReplayTotals want = replay_trace(reader, encoder, serial);
+  const StreamStats want = replay(reader, Scheme::kAcDc, {}, {.lanes = 4});
 
   engine::ShardPool pool(3);
-  for (const bool double_buffer : {false, true}) {
-    ReplayOptions opt;
-    opt.lanes = 4;
-    opt.pool = &pool;
-    opt.double_buffer = double_buffer;
-    const ReplayTotals got = replay_trace(reader, encoder, opt);
-    EXPECT_EQ(got.zeros, want.zeros) << double_buffer;
-    EXPECT_EQ(got.transitions, want.transitions) << double_buffer;
-  }
+  const StreamStats got =
+      replay(reader, Scheme::kAcDc, {}, {.lanes = 4, .pool = &pool});
+  EXPECT_EQ(got.zeros, want.zeros);
+  EXPECT_EQ(got.transitions, want.transitions);
 }
 
 TEST(Replay, CompressedAndRawTracesReplayIdentically) {
   const BusConfig cfg{8, 8};
   auto src = workload::make_sparse_source(cfg, 0.85, 23);
   const auto trace = workload::BurstTrace::collect(*src, 700);
-  const engine::BatchEncoder encoder(Scheme::kDc);
 
   const auto compressed = reader_for(trace, 64, true);
   const auto raw = reader_for(trace, 64, false);
   ASSERT_TRUE(compressed.chunk(0).compressed());
   ASSERT_FALSE(raw.chunk(0).compressed());
 
-  ReplayOptions opt;
-  opt.lanes = 2;
-  const ReplayTotals a = replay_trace(compressed, encoder, opt);
-  const ReplayTotals b = replay_trace(raw, encoder, opt);
+  const StreamStats a = replay(compressed, Scheme::kDc, {}, {.lanes = 2});
+  const StreamStats b = replay(raw, Scheme::kDc, {}, {.lanes = 2});
   EXPECT_EQ(a.zeros, b.zeros);
   EXPECT_EQ(a.transitions, b.transitions);
 }
@@ -199,31 +212,30 @@ TEST(Replay, ResetPerBurstMatchesBoundaryTotals) {
   const engine::BatchEncoder encoder(Scheme::kOptFixed);
   const auto reader = reader_for(trace, 32);
 
-  const BurstStats want = encoder.boundary_totals(
-      trace.bursts(), BusState::all_ones(trace.config()));
-  ReplayOptions opt;
-  opt.lanes = 3;
-  opt.reset_state_per_burst = true;
-  const ReplayTotals got = replay_trace(reader, encoder, opt);
+  const Reference want =
+      reference_replay(trace, encoder, 1, /*reset_per_burst=*/true);
+  const StreamStats got = replay(reader, Scheme::kOptFixed, {},
+                                 {.lanes = 3, .reset_per_burst = true});
   EXPECT_EQ(got.zeros, want.zeros);
   EXPECT_EQ(got.transitions, want.transitions);
 }
 
 TEST(Replay, RunIsRestartable) {
   const auto trace = random_trace(BusConfig{8, 8}, 120, 31);
-  const engine::BatchEncoder encoder(Scheme::kAc);
   const auto reader = reader_for(trace, 50);
-  ReplayOptions opt;
-  opt.lanes = 2;
-  ReplayPipeline pipeline(reader, encoder, opt);
-  const ReplayTotals first = pipeline.run();
-  const ReplayTotals second = pipeline.run();
+  SessionSpec spec;
+  spec.policy = Scheme::kAc;
+  spec.lanes = 2;
+  Session session(spec);
+  const auto source = make_trace_source(reader);
+  const StreamStats first = session.run(*source);
+  const StreamStats second = session.run(*source);
   EXPECT_EQ(first.zeros, second.zeros);
   EXPECT_EQ(first.transitions, second.transitions);
 }
 
 TEST(Replay, SummaryComputesMeansAndEnergy) {
-  ReplayTotals totals;
+  StreamStats totals;
   totals.bursts = 100;
   totals.zeros = 2500;
   totals.transitions = 900;
@@ -241,11 +253,11 @@ TEST(Replay, SummaryComputesMeansAndEnergy) {
 }
 
 TEST(Replay, RejectsBadLaneCounts) {
-  ReplayOptions opt;
-  opt.lanes = 0;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt.lanes = 1 << 17;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
+  SessionSpec spec;
+  spec.lanes = 0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.lanes = 1 << 17;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
 // ------------------------------------------------- wide multi-group replay
@@ -337,28 +349,18 @@ TEST(WideReplay, MatchesScalarPerGroupForEverySchemeWithMasks) {
   const CostWeights w{0.56, 0.44};
   for (const int width : {16, 32, 64, 12}) {
     const WideBusConfig cfg{width, 8};
-    const int groups = cfg.groups();
     const auto payload = wide_payload(cfg, 150, 21 + static_cast<std::uint64_t>(width));
     for (Scheme s : {Scheme::kRaw, Scheme::kDc, Scheme::kAc, Scheme::kAcDc,
                      Scheme::kOpt, Scheme::kOptFixed}) {
-      const engine::BatchEncoder encoder(s, w);
       const auto reader = wide_reader_for(cfg, payload);
       ASSERT_TRUE(reader.wide());
       for (const int lanes : {1, 3}) {
         const WideReference ref =
             wide_reference(cfg, payload, s, w, lanes);
 
-        std::vector<std::uint64_t> masks(ref.masks.size());
-        ReplayOptions opt;
-        opt.lanes = lanes;
-        opt.on_results = [&](std::int64_t first,
-                             std::span<const engine::BurstResult> results) {
-          const auto base =
-              static_cast<std::size_t>(first) * static_cast<std::size_t>(groups);
-          for (std::size_t i = 0; i < results.size(); ++i)
-            masks[base + i] = results[i].invert_mask;
-        };
-        const ReplayTotals totals = replay_trace(reader, encoder, opt);
+        std::vector<std::uint64_t> masks;
+        const StreamStats totals =
+            replay(reader, s, w, {.lanes = lanes}, &masks);
         EXPECT_EQ(totals.bursts, 150) << scheme_name(s);
         EXPECT_EQ(totals.zeros, ref.zeros)
             << scheme_name(s) << " width " << width << " lanes " << lanes;
@@ -375,37 +377,27 @@ TEST(WideReplay, ResetStatePerBurstMatchesScalarBoundary) {
   const WideBusConfig cfg{32, 8};
   const CostWeights w{0.5, 0.5};
   const auto payload = wide_payload(cfg, 90, 5);
-  const engine::BatchEncoder encoder(Scheme::kAcDc, w);
   const auto reader = wide_reader_for(cfg, payload);
   const WideReference ref =
       wide_reference(cfg, payload, Scheme::kAcDc, w, 2, true);
 
-  ReplayOptions opt;
-  opt.lanes = 2;
-  opt.reset_state_per_burst = true;
-  const ReplayTotals totals = replay_trace(reader, encoder, opt);
+  const StreamStats totals = replay(reader, Scheme::kAcDc, w,
+                                    {.lanes = 2, .reset_per_burst = true});
   EXPECT_EQ(totals.zeros, ref.zeros);
   EXPECT_EQ(totals.transitions, ref.transitions);
 }
 
-TEST(WideReplay, PoolAndDoubleBufferDoNotChangeResults) {
+TEST(WideReplay, PoolDoesNotChangeResults) {
   const WideBusConfig cfg{64, 8};
   const auto payload = wide_payload(cfg, 500, 77);
-  const engine::BatchEncoder encoder(Scheme::kAc);
-  // Small chunks so the producer/consumer hand-off actually cycles.
+  // Small chunks so the pool runs many chunk hand-offs.
   const auto reader = wide_reader_for(cfg, payload, 32);
 
-  ReplayOptions serial;
-  serial.lanes = 4;
-  serial.double_buffer = false;
-  const ReplayTotals want = replay_trace(reader, encoder, serial);
+  const StreamStats want = replay(reader, Scheme::kAc, {}, {.lanes = 4});
 
   engine::ShardPool pool(3);  // != lanes * groups on purpose
-  ReplayOptions sharded;
-  sharded.lanes = 4;
-  sharded.pool = &pool;
-  sharded.double_buffer = true;
-  const ReplayTotals got = replay_trace(reader, encoder, sharded);
+  const StreamStats got =
+      replay(reader, Scheme::kAc, {}, {.lanes = 4, .pool = &pool});
   EXPECT_EQ(got.zeros, want.zeros);
   EXPECT_EQ(got.transitions, want.transitions);
   EXPECT_EQ(got.bursts, want.bursts);
@@ -414,11 +406,11 @@ TEST(WideReplay, PoolAndDoubleBufferDoNotChangeResults) {
   const WideBusConfig small{12, 4};
   const auto small_payload = wide_payload(small, 40, 3);
   const auto small_reader = wide_reader_for(small, small_payload);
-  const engine::BatchEncoder ex(Scheme::kExhaustive, CostWeights{0.5, 0.5});
   const WideReference ref = wide_reference(small, small_payload,
                                            Scheme::kExhaustive,
                                            CostWeights{0.5, 0.5}, 1);
-  const ReplayTotals ex_totals = replay_trace(small_reader, ex, {});
+  const StreamStats ex_totals =
+      replay(small_reader, Scheme::kExhaustive, CostWeights{0.5, 0.5});
   EXPECT_EQ(ex_totals.zeros, ref.zeros);
   EXPECT_EQ(ex_totals.transitions, ref.transitions);
 }

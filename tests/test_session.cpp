@@ -209,12 +209,15 @@ TEST(SessionParity, BurstSourceMatchesPackedSource) {
   std::vector<Burst> bursts;
   for (int i = 0; i < 300; ++i) bursts.push_back(unpack_group(g, bytes, i, 0));
 
-  for (const bool reset : {false, true}) {
-    Session a(spec_for(g, Scheme::kOpt, CostWeights{0.3, 0.7}, 1, reset));
-    Session b(spec_for(g, Scheme::kOpt, CostWeights{0.3, 0.7}, 1, reset));
-    const auto packed = make_packed_source(bytes);
-    const auto spanned = make_burst_source(bursts);
-    EXPECT_EQ(b.run(*spanned), a.run(*packed)) << "reset=" << reset;
+  for (const int lanes : {1, 8}) {
+    for (const bool reset : {false, true}) {
+      Session a(spec_for(g, Scheme::kOpt, CostWeights{0.3, 0.7}, lanes, reset));
+      Session b(spec_for(g, Scheme::kOpt, CostWeights{0.3, 0.7}, lanes, reset));
+      const auto packed = make_packed_source(bytes);
+      const auto spanned = make_burst_source(bursts);
+      EXPECT_EQ(b.run(*spanned), a.run(*packed))
+          << "lanes=" << lanes << " reset=" << reset;
+    }
   }
 }
 

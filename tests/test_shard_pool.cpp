@@ -86,8 +86,8 @@ TEST(ShardPool, PropagatesExceptions) {
 }
 
 TEST(ShardPool, ShardedEncodeLanesMatchesSerial) {
-  // The engine's multi-lane entry point must yield identical results
-  // and identical threaded states with and without a pool.
+  // Independent lanes encoded across a pool must yield identical
+  // results and identical threaded states to a serial loop.
   const BusConfig cfg{8, 8};
   constexpr int kLanes = 9;
   constexpr int kBursts = 64;
@@ -99,31 +99,38 @@ TEST(ShardPool, ShardedEncodeLanesMatchesSerial) {
 
   const BatchEncoder batch(Scheme::kOptFixed);
 
+  std::vector<std::vector<std::uint8_t>> packed;
+  for (const std::vector<Burst>& lane : lanes)
+    packed.push_back(test::pack_bursts(lane));
+
   auto encode_all = [&](ShardPool* pool) {
     std::vector<BusState> states(kLanes, BusState::all_ones(cfg));
     std::vector<std::vector<BurstResult>> results(
         kLanes, std::vector<BurstResult>(kBursts));
-    std::vector<LaneTask> tasks(kLanes);
-    for (int l = 0; l < kLanes; ++l) {
-      tasks[static_cast<std::size_t>(l)] = LaneTask{
-          lanes[static_cast<std::size_t>(l)],
-          &states[static_cast<std::size_t>(l)],
-          results[static_cast<std::size_t>(l)].data(), BurstStats{}};
+    std::vector<BurstStats> totals(kLanes);
+    auto run_lane = [&](int l) {
+      const auto i = static_cast<std::size_t>(l);
+      totals[i] =
+          batch.encode_packed(packed[i], cfg, states[i], results[i].data());
+    };
+    if (pool) {
+      pool->run(kLanes, run_lane);
+    } else {
+      for (int l = 0; l < kLanes; ++l) run_lane(l);
     }
-    batch.encode_lanes(tasks, pool);
-    return std::tuple{states, results, tasks};
+    return std::tuple{states, results, totals};
   };
 
-  const auto [serial_states, serial_results, serial_tasks] =
+  const auto [serial_states, serial_results, serial_totals] =
       encode_all(nullptr);
   ShardPool pool(4);
-  const auto [pool_states, pool_results, pool_tasks] = encode_all(&pool);
+  const auto [pool_states, pool_results, pool_totals] = encode_all(&pool);
 
   EXPECT_EQ(serial_states, pool_states);
   EXPECT_EQ(serial_results, pool_results);
   for (int l = 0; l < kLanes; ++l)
-    EXPECT_EQ(serial_tasks[static_cast<std::size_t>(l)].totals,
-              pool_tasks[static_cast<std::size_t>(l)].totals)
+    EXPECT_EQ(serial_totals[static_cast<std::size_t>(l)],
+              pool_totals[static_cast<std::size_t>(l)])
         << "lane " << l;
 }
 

@@ -2,10 +2,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/burst.hpp"
 #include "core/types.hpp"
+#include "engine/batch_encoder.hpp"
 #include "workload/rng.hpp"
 
 namespace dbi::test {
@@ -27,6 +29,35 @@ inline std::vector<Burst> random_bursts(const BusConfig& cfg, int count,
   for (int i = 0; i < count; ++i)
     out.push_back(random_burst(cfg, seed + static_cast<std::uint64_t>(i)));
   return out;
+}
+
+/// Packs narrow bursts into the engine's packed layout: burst_length
+/// beats of bytes_per_beat() little-endian bytes each, back to back.
+inline std::vector<std::uint8_t> pack_bursts(std::span<const Burst> bursts) {
+  std::vector<std::uint8_t> out;
+  for (const Burst& b : bursts)
+    for (int t = 0; t < b.length(); ++t)
+      for (int k = 0; k < b.config().bytes_per_beat(); ++k)
+        out.push_back(static_cast<std::uint8_t>(b.word(t) >> (8 * k)));
+  return out;
+}
+
+/// Encodes every byte group of a packed wide stream, one
+/// encode_packed_group call per group in group order, threading
+/// states[g]. Burst i's group g lands in results[i * groups + g] when
+/// `results` is non-null. Returns the summed stats of all groups.
+inline BurstStats encode_groups(const engine::BatchEncoder& enc,
+                                std::span<const std::uint8_t> bytes,
+                                const WideBusConfig& cfg,
+                                std::span<BusState> states,
+                                engine::BurstResult* results = nullptr) {
+  const int groups = cfg.groups();
+  BurstStats totals;
+  for (int g = 0; g < groups; ++g)
+    totals += enc.encode_packed_group(
+        bytes, cfg, g, states[static_cast<std::size_t>(g)],
+        results ? results + g : nullptr, static_cast<std::size_t>(groups));
+  return totals;
 }
 
 }  // namespace dbi::test

@@ -12,6 +12,7 @@
 #include "core/encoder.hpp"
 #include "engine/batch_encoder.hpp"
 #include "engine/shard_pool.hpp"
+#include "test_util.hpp"
 #include "workload/rng.hpp"
 
 namespace dbi {
@@ -83,7 +84,7 @@ void expect_wide_parity(Scheme scheme, const CostWeights& w,
   std::vector<engine::BurstResult> results(
       static_cast<std::size_t>(bursts) * static_cast<std::size_t>(groups));
   const BurstStats totals =
-      batch.encode_packed_wide(bytes, cfg, states, results.data());
+      test::encode_groups(batch, bytes, cfg, states, results.data());
 
   BurstStats want_totals;
   for (int g = 0; g < groups; ++g) {
@@ -178,7 +179,6 @@ TEST(WideBus, EncodeWideLanesMatchesSerialAndPool) {
   auto run = [&](engine::ShardPool* pool) {
     std::vector<std::vector<BusState>> states(kLanes);
     std::vector<std::vector<engine::BurstResult>> results(kLanes);
-    std::vector<engine::WideLaneTask> tasks(kLanes);
     for (int l = 0; l < kLanes; ++l) {
       states[static_cast<std::size_t>(l)].resize(
           static_cast<std::size_t>(groups));
@@ -187,15 +187,29 @@ TEST(WideBus, EncodeWideLanesMatchesSerialAndPool) {
             BusState::all_ones(cfg.group_config(g));
       results[static_cast<std::size_t>(l)].resize(
           static_cast<std::size_t>(kBursts) * static_cast<std::size_t>(groups));
-      tasks[static_cast<std::size_t>(l)] = engine::WideLaneTask{
-          lane_bytes[static_cast<std::size_t>(l)],
-          states[static_cast<std::size_t>(l)],
-          results[static_cast<std::size_t>(l)].data(),
-          {}};
     }
-    batch.encode_wide_lanes(cfg, tasks, pool);
-    return std::make_tuple(std::move(states), std::move(results),
-                           tasks[0].totals, tasks[kLanes - 1].totals);
+    // One (lane, group) unit per pool shard, each writing its own slot.
+    std::vector<BurstStats> unit_totals(
+        static_cast<std::size_t>(kLanes * groups));
+    auto run_unit = [&](int u) {
+      const auto l = static_cast<std::size_t>(u / groups);
+      const int g = u % groups;
+      unit_totals[static_cast<std::size_t>(u)] = batch.encode_packed_group(
+          lane_bytes[l], cfg, g, states[l][static_cast<std::size_t>(g)],
+          results[l].data() + g, static_cast<std::size_t>(groups));
+    };
+    if (pool) {
+      pool->run(kLanes * groups, run_unit);
+    } else {
+      for (int u = 0; u < kLanes * groups; ++u) run_unit(u);
+    }
+    BurstStats first, last;
+    for (int g = 0; g < groups; ++g) {
+      first += unit_totals[static_cast<std::size_t>(g)];
+      last += unit_totals[static_cast<std::size_t>((kLanes - 1) * groups + g)];
+    }
+    return std::make_tuple(std::move(states), std::move(results), first,
+                           last);
   };
 
   const auto serial = run(nullptr);
@@ -211,7 +225,7 @@ TEST(WideBus, EncodeWideLanesMatchesSerialAndPool) {
   for (int g = 0; g < groups; ++g)
     states[static_cast<std::size_t>(g)] = BusState::all_ones(cfg.group_config(g));
   const BurstStats direct =
-      batch.encode_packed_wide(lane_bytes[0], cfg, states);
+      test::encode_groups(batch, lane_bytes[0], cfg, states);
   EXPECT_EQ(direct, std::get<2>(serial));
 }
 
@@ -223,7 +237,7 @@ TEST(WideBus, RejectsBadGeometryWithIndexedDiagnostics) {
   // Payload not a multiple of the packed wide burst size.
   const std::vector<std::uint8_t> short_payload(cfg.bytes_per_burst() + 1, 0);
   try {
-    (void)batch.encode_packed_wide(short_payload, cfg, states);
+    (void)test::encode_groups(batch, short_payload, cfg, states);
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -236,7 +250,7 @@ TEST(WideBus, RejectsBadGeometryWithIndexedDiagnostics) {
   bytes[1 * static_cast<std::size_t>(cfg.bytes_per_burst()) + 2 * 2 + 1] =
       0x10;  // burst 1, beat 2, group 1
   try {
-    (void)batch.encode_packed_wide(bytes, cfg, states);
+    (void)test::encode_groups(batch, bytes, cfg, states);
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -245,12 +259,7 @@ TEST(WideBus, RejectsBadGeometryWithIndexedDiagnostics) {
     EXPECT_NE(what.find("width-4"), std::string::npos) << what;
   }
 
-  // Wrong number of group states.
-  std::vector<BusState> one_state(1);
-  EXPECT_THROW(
-      (void)batch.encode_packed_wide(random_wide_bytes(cfg, 1, 6), cfg,
-                                     one_state),
-      std::invalid_argument);
+  // A group index outside the bus.
   EXPECT_THROW((void)batch.encode_packed_group(random_wide_bytes(cfg, 1, 7),
                                                cfg, 2, states[0]),
                std::invalid_argument);
