@@ -30,6 +30,7 @@
 #include "engine/batch_decoder.hpp"
 #include "engine/batch_encoder.hpp"
 #include "engine/shard_pool.hpp"
+#include "engine/stream_encoder.hpp"
 #include "select/scheme_policy.hpp"
 #include "workload/corpus.hpp"
 #include "workload/generators.hpp"
@@ -405,16 +406,19 @@ DecodeReport run_decode_wide(Scheme scheme, int bursts, int repeats) {
 // measured on the hot paths it can serve — narrow x8 fixed-scheme
 // encode, wide x64 byte-group encode, x8 decode, wide x64 decode, and
 // the paper's per-burst-reset x8 AC encode with per-burst results
-// ("reset"), and the same shape through the OPT-Fixed and OPT trellis
-// ("trellis_reset") — all through the public set_kernel dispatch, same
-// payload, same threaded states. Ratios are reported against the
-// portable reference measured in the same process;
+// ("reset"), the same shape through the OPT-Fixed and OPT trellis
+// ("trellis_reset"), and threaded x8 AC over 8 interleaved lanes
+// through StreamEncoder ("lanes8") — all through the public set_kernel
+// dispatch, same payload, same threaded states. Ratios are reported
+// against the portable reference measured in the same process;
 // tools/bench_compare.py holds the SIMD encode_* ratios to a hard 1.5x
-// floor (and everything else, reset and trellis_reset included, to
-// >= 1x) on hardware that has the ISA, and records a skipped-isa status
+// floor (and everything else, reset, trellis_reset and lanes8 included,
+// to >= 1x) on hardware that has the ISA, and records a skipped-isa status
 // where CI does not. A variant whose envelope does not cover the
 // trellis entry reports trellis_reset_vs_swar as null (it would only
-// time the portable fallback against itself).
+// time the portable fallback against itself), and likewise
+// lanes8_vs_swar for a variant whose vector loops do not take 8 lanes
+// (StreamEncoder gathers those lanes apart instead).
 struct KernelCaseReport {
   const engine::KernelVariant* variant = nullptr;
   bool available = false;
@@ -426,6 +430,10 @@ struct KernelCaseReport {
   // mega-bursts/s, x8 BL8 OPT-Fixed then OPT, per-burst reset + results;
   // 0 when the variant does not serve the trellis entry
   double trellis_reset = 0;
+  // mega-bursts/s, x8 BL8 AC over 8 interleaved lanes (burst g on lane
+  // g % 8), threaded, stats only, through StreamEncoder; 0 when the
+  // variant's vector loops do not take 8 lanes
+  double lanes8 = 0;
 };
 
 struct KernelWorkload {
@@ -588,6 +596,22 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
       if (sink == 42) std::puts("");
       rep.trellis_reset = std::max(
           rep.trellis_reset, 2 * bursts * trellis_repeats / dt / 1e6);
+    }
+    if (k.supports_fixed8_lanes(engine::Fixed8Rule::kAc, 8, 8)) {
+      engine::StreamEncodeOptions so;
+      so.lanes = 8;
+      engine::StreamEncoder stream(ac, wl.narrow_cfg, so);
+      std::int64_t sink = 0;
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int r = 0; r < repeats; ++r) {
+        stream.reset();
+        (void)stream.encode_chunk(0, wl.narrow_payload,
+                                  wl.narrow_masks.size());
+        sink += stream.zeros() + stream.transitions();
+      }
+      const double dt = seconds_since(t0);
+      if (sink == 42) std::puts("");
+      rep.lanes8 = std::max(rep.lanes8, bursts * repeats / dt / 1e6);
     }
   }
   return rep;
@@ -883,6 +907,10 @@ int main(int argc, char** argv) {
       if (r.trellis_reset > 0)
         std::snprintf(trellis_ratio, sizeof trellis_ratio, "%.2f",
                       ratio(r.trellis_reset, swar_rep.trellis_reset));
+      char lanes8_ratio[32] = "null";
+      if (r.lanes8 > 0)
+        std::snprintf(lanes8_ratio, sizeof lanes8_ratio, "%.2f",
+                      ratio(r.lanes8, swar_rep.lanes8));
       std::printf(
           "%s    {\"kernel\": \"%s\", \"isa\": \"%s\", \"available\": %s, "
           "\"selected\": %s,\n"
@@ -891,22 +919,24 @@ int main(int argc, char** argv) {
           "\"decode_x8_mbursts_per_s\": %.2f, "
           "\"decode_wide_x64_mbursts_per_s\": %.2f, "
           "\"reset_mbursts_per_s\": %.2f, "
-          "\"trellis_reset_mbursts_per_s\": %.2f,\n"
+          "\"trellis_reset_mbursts_per_s\": %.2f, "
+          "\"lanes8_mbursts_per_s\": %.2f,\n"
           "     \"encode_x8_vs_swar\": %.2f, "
           "\"encode_wide_x64_vs_swar\": %.2f, \"decode_x8_vs_swar\": %.2f, "
           "\"decode_wide_x64_vs_swar\": %.2f, \"reset_vs_swar\": %.2f, "
-          "\"trellis_reset_vs_swar\": %s}",
+          "\"trellis_reset_vs_swar\": %s, \"lanes8_vs_swar\": %s}",
           first ? "" : ",\n",
           std::string(r.variant->name()).c_str(),
           std::string(engine::isa_name(r.variant->isa())).c_str(),
           r.available ? "true" : "false", selected ? "true" : "false",
           r.encode_x8, r.encode_wide_x64, r.decode_x8, r.decode_wide_x64,
-          r.reset, r.trellis_reset, ratio(r.encode_x8, swar_rep.encode_x8),
+          r.reset, r.trellis_reset, r.lanes8,
+          ratio(r.encode_x8, swar_rep.encode_x8),
           ratio(r.encode_wide_x64, swar_rep.encode_wide_x64),
           ratio(r.decode_x8, swar_rep.decode_x8),
           ratio(r.decode_wide_x64, swar_rep.decode_wide_x64),
           ratio(r.reset, swar_rep.reset),
-          trellis_ratio);
+          trellis_ratio, lanes8_ratio);
       first = false;
     }
     std::printf("\n  ],\n");

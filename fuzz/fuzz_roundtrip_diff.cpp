@@ -1,7 +1,10 @@
 // libFuzzer target: differential encode -> decode round trip. The
 // input bytes pick a scheme (and, for kOpt, a weight pair from a
 // tie-prone table), geometry, kernel variant, state policy
-// (threaded, or the kernels' own per-burst reset) and payload; the
+// (threaded, or the kernels' own per-burst reset), a lane interleave
+// (1 lane, 8 lanes or another count, and the first burst's lane — the
+// fixed schemes on full byte groups thread one state per lane inside
+// the kernel call; every other draw runs one lane) and payload; the
 // properties under test are
 //   decode(apply(payload, encode(payload))) == payload   (identity)
 // for the engine kernels at every geometry the bytes can reach,
@@ -44,6 +47,38 @@ constexpr CostWeights kWeights[] = {
   std::abort();
 }
 
+/// The lane interleave a fuzz byte draws: 1 lane, 8 lanes (the two
+/// counts the vector loops take) or 2..7 (the portable interleave), and
+/// the lane of the call's first burst.
+struct LaneDraw {
+  int lanes = 1;
+  int first = 0;
+};
+
+LaneDraw draw_lanes(std::uint8_t byte) {
+  LaneDraw d;
+  switch (byte % 3) {
+    case 0:
+      d.lanes = 1;
+      break;
+    case 1:
+      d.lanes = 8;
+      break;
+    default:
+      d.lanes = 2 + (byte / 3) % 6;
+      break;
+  }
+  d.first = (byte / 18) % d.lanes;
+  return d;
+}
+
+/// Whether a call over `bursts` bursts gives lane `lane` any burst
+/// (lanes without one keep their entry state).
+bool lane_touched(const LaneDraw& d, std::size_t lane, std::size_t bursts) {
+  const auto lanes = static_cast<std::size_t>(d.lanes);
+  return (lane + lanes - static_cast<std::size_t>(d.first)) % lanes < bursts;
+}
+
 /// Picks a registered kernel variant from a fuzz byte; unavailable ISAs
 /// (corpus replayed on a smaller host) degrade to the portable
 /// reference so every input keeps exercising the full pipeline.
@@ -57,7 +92,7 @@ const engine::KernelVariant& draw_kernel(std::uint8_t byte) {
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  if (size < 4) return 0;
+  if (size < 5) return 0;
   const Scheme scheme = kSchemes[data[0] % 6];
   const CostWeights weights = kWeights[data[0] / 6 % std::size(kWeights)];
   const bool wide = (data[3] & 1) != 0;
@@ -65,8 +100,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const engine::KernelVariant& variant = draw_kernel(data[3] >> 2);
   const int width = wide ? 1 + data[1] % 64 : 1 + data[1] % 32;
   const int bl = 1 + data[2] % 64;
-  data += 4;
-  size -= 4;
+  LaneDraw lanes = draw_lanes(data[4]);
+  // Interleaved lanes exist for the fixed schemes on full byte groups.
+  if (!engine::fixed8_rule(scheme) || width % 8 != 0 || (!wide && width != 8))
+    lanes = LaneDraw{};
+  const auto lane_count = static_cast<std::size_t>(lanes.lanes);
+  data += 5;
+  size -= 5;
 
   engine::BatchEncoder engine(scheme, weights);
   engine.set_kernel(variant);
@@ -94,17 +134,24 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     std::vector<engine::BurstResult> ref_results(bursts);
     std::vector<std::uint64_t> masks(bursts);
     // Under reset the variant's kernel restarts every burst itself
-    // (the vector blocks and the tail alike), so the entry state must
+    // (the vector blocks and the tail alike), so the entry states must
     // not matter: hand the two encoders different ones.
-    BusState state = reset ? BusState::all_zeros() : BusState::all_ones(cfg);
-    BusState ref_state = BusState::all_ones(cfg);
-    (void)engine.encode_packed(payload, cfg, state, results.data(), 1, reset);
-    (void)swar.encode_packed(payload, cfg, ref_state, ref_results.data(), 1,
-                             reset);
+    const BusState entry =
+        reset ? BusState::all_zeros() : BusState::all_ones(cfg);
+    std::vector<BusState> states(lane_count, entry);
+    std::vector<BusState> ref_states(lane_count, BusState::all_ones(cfg));
+    (void)engine.encode_packed(
+        payload, cfg, engine::LaneStates(states, lanes.lanes, lanes.first),
+        results.data(), 1, reset);
+    (void)swar.encode_packed(
+        payload, cfg, engine::LaneStates(ref_states, lanes.lanes, lanes.first),
+        ref_results.data(), 1, reset);
     if (results != ref_results)
       fail("narrow kernel variant diverges from the portable reference");
-    if (!(state == ref_state))
-      fail("narrow kernel variant leaves a diverged line state");
+    for (std::size_t l = 0; l < lane_count; ++l)
+      if (!(states[l] == (lane_touched(lanes, l, bursts) ? ref_states[l]
+                                                          : entry)))
+        fail("narrow kernel variant leaves a diverged line state");
     for (std::size_t i = 0; i < bursts; ++i) masks[i] = results[i].invert_mask;
 
     std::vector<std::uint8_t> tx(payload.size());
@@ -117,11 +164,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     if (swar_out != out)
       fail("narrow decode variant diverges from the portable reference");
 
-    // Scalar-reference parity on a bounded prefix.
-    const std::size_t check = bursts < 4 ? bursts : 4;
-    BusState sstate = BusState::all_ones(cfg);
+    // Scalar-reference parity on a bounded prefix (four bursts per
+    // lane), each burst threading its own lane's state.
+    const std::size_t check = bursts < 4 * lane_count ? bursts : 4 * lane_count;
+    std::vector<BusState> sstates(lane_count, BusState::all_ones(cfg));
     std::vector<Word> words(static_cast<std::size_t>(bl));
     for (std::size_t i = 0; i < check; ++i) {
+      BusState& sstate =
+          sstates[(static_cast<std::size_t>(lanes.first) + i) % lane_count];
       if (reset) sstate = BusState::all_ones(cfg);
       for (int t = 0; t < bl; ++t) {
         Word w = 0;
@@ -154,28 +204,42 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   std::vector<engine::BurstResult> results(
       bursts * static_cast<std::size_t>(groups));
   std::vector<engine::BurstResult> ref_results(results.size());
-  std::vector<BusState> states(static_cast<std::size_t>(groups));
-  std::vector<BusState> ref_states(static_cast<std::size_t>(groups));
-  for (int g = 0; g < groups; ++g)
-    states[static_cast<std::size_t>(g)] = ref_states[static_cast<std::size_t>(
-        g)] = BusState::all_ones(cfg.group_config(g));
-  // Group by group, as StreamEncoder shards a wide lane; under reset
-  // each group slice restarts every burst inside the kernel.
+  // lanes x groups states, group-minor (StreamEncoder's layout).
   const auto stride = static_cast<std::size_t>(groups);
+  std::vector<BusState> states(lane_count * stride);
+  std::vector<BusState> ref_states(states.size());
+  for (std::size_t u = 0; u < states.size(); ++u)
+    states[u] = ref_states[u] =
+        BusState::all_ones(cfg.group_config(static_cast<int>(u % stride)));
+  // Group by group, as StreamEncoder shards a wide stream; under reset
+  // each group slice restarts every burst inside the kernel.
   for (int g = 0; g < groups; ++g) {
     const auto gi = static_cast<std::size_t>(g);
-    if (reset) states[gi] = BusState::all_zeros();
-    (void)engine.encode_packed_group(payload, cfg, g, states[gi],
-                                     results.data() + gi, stride, reset);
-    (void)swar.encode_packed_group(payload, cfg, g, ref_states[gi],
-                                   ref_results.data() + gi, stride, reset);
+    if (reset)
+      for (std::size_t l = 0; l < lane_count; ++l)
+        states[l * stride + gi] = BusState::all_zeros();
+    (void)engine.encode_packed_group(
+        payload, cfg, g,
+        engine::LaneStates(std::span<BusState>(states).subspan(gi),
+                           lanes.lanes, lanes.first, stride),
+        results.data() + gi, stride, reset);
+    (void)swar.encode_packed_group(
+        payload, cfg, g,
+        engine::LaneStates(std::span<BusState>(ref_states).subspan(gi),
+                           lanes.lanes, lanes.first, stride),
+        ref_results.data() + gi, stride, reset);
   }
   if (results != ref_results)
     fail("wide kernel variant diverges from the portable reference");
-  for (int g = 0; g < groups; ++g)
-    if (!(states[static_cast<std::size_t>(g)] ==
-          ref_states[static_cast<std::size_t>(g)]))
+  for (std::size_t u = 0; u < states.size(); ++u) {
+    const BusState entry =
+        reset ? BusState::all_zeros()
+              : BusState::all_ones(
+                    cfg.group_config(static_cast<int>(u % stride)));
+    if (!(states[u] ==
+          (lane_touched(lanes, u / stride, bursts) ? ref_states[u] : entry)))
       fail("wide kernel variant leaves a diverged group state");
+  }
   std::vector<std::uint64_t> masks(results.size());
   for (std::size_t i = 0; i < results.size(); ++i)
     masks[i] = results[i].invert_mask;

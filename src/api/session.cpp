@@ -63,13 +63,16 @@ Session::Session(const SessionSpec& spec)
   // engine directions, then reject a pin whose envelope covers no path
   // of this scheme and geometry — a session that silently ran the
   // portable fallback everywhere would make the pin a no-op lie.
-  const engine::KernelVariant& kernel = engine::resolve_kernel(spec_.kernel);
+  // An unpinned spec ("" / "auto") runs the process default (DBI_KERNEL
+  // or the hardware pick), which the engine already resolved.
+  const bool pinned = !spec_.kernel.empty() && spec_.kernel != "auto";
+  const engine::KernelVariant& kernel =
+      pinned ? engine::resolve_kernel(spec_.kernel) : engine_.kernel();
   engine_.set_kernel(kernel);
   decoder_.set_kernel(kernel);
   // Adaptive sessions exercise every candidate scheme, so the
   // single-scheme envelope strictness below does not apply to them.
-  if (!spec_.kernel.empty() && spec_.kernel != "auto" &&
-      kernel.isa() != engine::KernelIsa::kPortable &&
+  if (pinned && kernel.isa() != engine::KernelIsa::kPortable &&
       !spec_.resolved_policy().adaptive()) {
     const KernelReport rep = kernel_report();
     if (rep.fixed_encode != kernel.name() && rep.trellis != kernel.name() &&
@@ -594,6 +597,7 @@ StreamStats Session::run_adaptive(Source& source, Sink& sink) {
   scfg.pool = pool();
   scfg.obs = obs_;
   scfg.kernel = &engine_.kernel();
+  scfg.collect_results = sink.wants_results();
   select::ChunkSelector selector(scfg);
 
   const bool pass_payload = sink.wants_payload();

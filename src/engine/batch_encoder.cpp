@@ -114,19 +114,25 @@ BurstStats BatchEncoder::encode_words(std::span<const Word> words,
   return totals;
 }
 
+bool BatchEncoder::interleaves(int burst_length, int lanes) const {
+  const auto rule = fixed8_rule(scheme_);
+  return rule && kernel_->supports_fixed8_lanes(*rule, burst_length, lanes);
+}
+
 BurstStats BatchEncoder::encode_group8(const std::uint8_t* bytes,
                                        std::size_t bursts, int burst_length,
-                                       int stride, BusState& state,
+                                       int stride, const LaneStates& state,
                                        BurstResult* results,
                                        std::size_t results_stride,
                                        bool reset_per_burst) const {
   // One registry dispatch per call: the selected variant when its
-  // envelope covers this rule and geometry, the portable reference
-  // otherwise.
+  // envelope covers this rule, geometry and lane count, the portable
+  // reference otherwise.
   if (const auto rule = fixed8_rule(scheme_)) {
-    const KernelVariant& k = kernel_->supports_fixed8(*rule, burst_length)
-                                 ? *kernel_
-                                 : portable_kernel();
+    const KernelVariant& k =
+        kernel_->supports_fixed8_lanes(*rule, burst_length, state.lanes)
+            ? *kernel_
+            : portable_kernel();
     if (obs_) obs_->count_encode_dispatch(k, &k != kernel_);
     return k.encode_fixed8(*rule, bytes, bursts, burst_length, stride,
                            reset_per_burst, state, results, results_stride);
@@ -137,16 +143,28 @@ BurstStats BatchEncoder::encode_group8(const std::uint8_t* bytes,
           : portable_kernel();
   if (obs_) obs_->count_encode_dispatch(k, &k != kernel_);
   return k.encode_trellis8(*trellis_rule(scheme_), weights_, bytes, bursts,
-                           burst_length, stride, reset_per_burst, state,
+                           burst_length, stride, reset_per_burst, state.at(0),
                            results, results_stride);
 }
 
+void BatchEncoder::check_lanes(const LaneStates& state, int group_width,
+                               const char* entry) const {
+  if (state.lanes != 1 && (group_width != 8 || !fixed8_rule(scheme_)))
+    throw std::invalid_argument(
+        std::string("BatchEncoder::") + entry + ": " +
+        std::to_string(state.lanes) + " interleaved lanes need a fixed "
+        "scheme on full width-8 groups, not " + std::string(name()) +
+        " on width " + std::to_string(group_width));
+}
+
 BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
-                                       const BusConfig& cfg, BusState& state,
+                                       const BusConfig& cfg,
+                                       const LaneStates& lanes,
                                        BurstResult* results,
                                        std::size_t results_stride,
                                        bool reset_per_burst) const {
   cfg.validate();
+  check_lanes(lanes, cfg.width, "encode_packed");
   const auto bl = static_cast<std::size_t>(cfg.burst_length);
   const auto bpb = static_cast<std::size_t>(cfg.bytes_per_beat());
   const std::size_t burst_bytes = bl * bpb;
@@ -164,9 +182,10 @@ BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
   // payload layout is the SWAR lane-word layout, so there is no
   // widening pass at all (and every byte value is a valid beat).
   if (cfg.width == 8 && scheme_ != Scheme::kExhaustive)
-    return encode_group8(p, n, cfg.burst_length, /*stride=*/1, state,
+    return encode_group8(p, n, cfg.burst_length, /*stride=*/1, lanes,
                          results, results_stride, reset_per_burst);
 
+  BusState& state = lanes.at(0);
   BurstStats totals;
   const Word mask = cfg.dq_mask();
   Word buf[64];  // burst_length <= 64 by BusConfig::validate()
@@ -193,7 +212,7 @@ BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
 
 BurstStats BatchEncoder::encode_packed_group(
     std::span<const std::uint8_t> bytes, const dbi::WideBusConfig& cfg,
-    int group, BusState& state, BurstResult* results,
+    int group, const LaneStates& lanes, BurstResult* results,
     std::size_t results_stride, bool reset_per_burst) const {
   cfg.validate();
   const int groups = cfg.groups();
@@ -213,6 +232,7 @@ BurstStats BatchEncoder::encode_packed_group(
   const std::size_t n = bytes.size() / burst_bytes;
   const int bl = cfg.burst_length;
   const int gw = cfg.group_width(group);
+  check_lanes(lanes, gw, "encode_packed_group");
   const BusConfig gcfg = cfg.group_config(group);
   const Word gmask = gcfg.dq_mask();
 
@@ -222,9 +242,10 @@ BurstStats BatchEncoder::encode_packed_group(
   // (stride = groups()). Every byte value is a valid width-8 beat, so
   // no validation pass is needed.
   if (gw == 8 && scheme_ != Scheme::kExhaustive)
-    return encode_group8(p, n, bl, groups, state, results, results_stride,
+    return encode_group8(p, n, bl, groups, lanes, results, results_stride,
                          reset_per_burst);
 
+  BusState& state = lanes.at(0);
   BurstStats totals;
   for (std::size_t i = 0; i < n; ++i, p += burst_bytes) {
     const StridedBeats beats{p, bl, groups};

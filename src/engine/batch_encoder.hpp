@@ -101,6 +101,13 @@ class BatchEncoder {
                                dbi::BusState& state,
                                BurstResult* results = nullptr) const;
 
+  /// Whether encode_packed / encode_packed_group take `lanes`
+  /// interleaved lanes of full width-8 groups in one in-place call at
+  /// the selected variant's vector rate: this scheme has a fixed width-8
+  /// rule inside the variant's supports_fixed8_lanes envelope. Lanes
+  /// that do not interleave must be gathered apart by the caller.
+  [[nodiscard]] bool interleaves(int burst_length, int lanes) const;
+
   /// Packed-byte variant for streaming callers (the trace replay path):
   /// `bytes` holds consecutive bursts in the binary trace format's
   /// payload layout — burst_length beats of cfg.bytes_per_beat()
@@ -110,10 +117,13 @@ class BatchEncoder {
   /// goes to results[i * results_stride] when `results` is non-null.
   /// With `reset_per_burst`, every burst starts from
   /// BusState::all_ones(cfg) instead (the paper's boundary); `state`
-  /// still ends at the last burst's line values.
+  /// still ends at the last burst's line values. `state` may also be
+  /// several interleaved lanes (LaneStates, encode_fixed8's contract)
+  /// when interleaves(cfg.burst_length, lanes) holds at width 8;
+  /// otherwise more than one lane throws std::invalid_argument.
   dbi::BurstStats encode_packed(std::span<const std::uint8_t> bytes,
                                 const dbi::BusConfig& cfg,
-                                dbi::BusState& state,
+                                const LaneStates& state,
                                 BurstResult* results = nullptr,
                                 std::size_t results_stride = 1,
                                 bool reset_per_burst = false) const;
@@ -126,10 +136,11 @@ class BatchEncoder {
   /// cfg.groups(), so mmap'd wide chunks encode with no widening pass.
   /// Threads `state` (or, with `reset_per_burst`, starts every burst
   /// from the group's all-ones state); burst i's result is written to
-  /// results[i * results_stride] when `results` is non-null.
+  /// results[i * results_stride] when `results` is non-null. Interleaved
+  /// lanes follow encode_packed's rule for a full byte group.
   dbi::BurstStats encode_packed_group(std::span<const std::uint8_t> bytes,
                                       const dbi::WideBusConfig& cfg, int group,
-                                      dbi::BusState& state,
+                                      const LaneStates& state,
                                       BurstResult* results = nullptr,
                                       std::size_t results_stride = 1,
                                       bool reset_per_burst = false) const;
@@ -151,9 +162,15 @@ class BatchEncoder {
   /// portable reference outside its envelope.
   dbi::BurstStats encode_group8(const std::uint8_t* bytes, std::size_t bursts,
                                 int burst_length, int stride,
-                                dbi::BusState& state, BurstResult* results,
+                                const LaneStates& state, BurstResult* results,
                                 std::size_t results_stride,
                                 bool reset_per_burst) const;
+
+  /// Throws unless `state` is one lane or this scheme has a fixed
+  /// rule and the group is a full byte (the only interleaved encode the
+  /// kernels provide).
+  void check_lanes(const LaneStates& state, int group_width,
+                   const char* entry) const;
 
   dbi::Scheme scheme_;
   dbi::CostWeights weights_;

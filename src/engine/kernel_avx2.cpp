@@ -84,12 +84,22 @@ class Avx2Kernel final : public KernelVariant {
   [[nodiscard]] bool supports_trellis8(int, bool) const override {
     return false;
   }
+  [[nodiscard]] bool supports_fixed8_lanes(Fixed8Rule rule, int burst_length,
+                                           int lanes) const override {
+    return lanes == 1 && supports_fixed8(rule, burst_length);
+  }
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
                                 std::size_t bursts, int burst_length,
                                 int stride, bool reset_per_burst,
-                                dbi::BusState& state, BurstResult* results,
+                                const LaneStates& lanes, BurstResult* results,
                                 std::size_t results_stride) const override {
+    // Interleaved lanes run on the portable per-burst interleave.
+    if (lanes.lanes != 1)
+      return portable_kernel().encode_fixed8(
+          rule, bytes, bursts, burst_length, stride, reset_per_burst, lanes,
+          results, results_stride);
+    dbi::BusState& state = lanes.at(0);
     std::size_t vec = 0;  // bursts the vector loops take, 4 per ymm
     dbi::BurstStats totals;
     if (burst_length == 8 && rule != Fixed8Rule::kRaw) {

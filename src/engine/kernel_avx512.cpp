@@ -10,14 +10,17 @@
 //     zmm. Per-byte popcounts via the nibble LUT + shuffle, decision
 //     flags straight into __mmask64 compares, mask -> 0xFF lane spread
 //     with vpmovm2b, per-burst ones/transition counts from vpsadbw
-//     against the byte-shifted stream. With threaded state the AC
-//     beat-0 boundary (previous transmitted byte + DBI value) and the
-//     8-bit decision prefix XOR stay scalar per burst: that recurrence
-//     is serial across bursts by construction, but it is ~10 cheap ops
-//     against a vectorised rest. Under per-burst reset the 8 bursts are
-//     independent and the whole block stays in vector registers (see
-//     encode_reset). x64 group slices (stride 8) load with vpmovqb
-//     narrowing instead of a byte gather.
+//     against the byte-shifted stream. One lane or 8 interleaved lanes
+//     (burst i of lane (first_lane + i) % 8, so a zmm is one time step
+//     of 8 lanes). With threaded state the AC recurrence runs across
+//     burst boundaries as s_t = (hd(raw_t, raw_(t-1)) >= 5) XOR
+//     s_(t-1), so a block's 64 decisions are one vector compare plus
+//     one prefix XOR seeded by the previous block's carry — 64-bit with
+//     one lane, bytewise with 8 (see encode_threaded). Under per-burst
+//     reset the 8 bursts are independent (see encode_reset). Either way
+//     the whole block stays in vector registers. x64 group slices
+//     (stride 8) load with vpmovqb narrowing instead of a byte gather.
+//     Other lane counts run the portable per-burst interleave.
 //   * encode_trellis8: OPT / OPT-Fixed at burst_length 8 under
 //     per-burst reset — 8 independent two-state trellises per zmm, one
 //     per double lane, feeding the same stats tail as the fixed rules
@@ -98,11 +101,15 @@ inline __m512i load_beats64(const std::uint8_t* p, int stride,
   return _mm512_loadu_si512(scratch);
 }
 
-/// 8-bit in-register prefix XOR: bit k of the result = XOR of bits 0..k.
-inline std::uint8_t prefix_xor8(std::uint8_t g) {
-  g = static_cast<std::uint8_t>(g ^ (g << 1));
-  g = static_cast<std::uint8_t>(g ^ (g << 2));
-  g = static_cast<std::uint8_t>(g ^ (g << 4));
+/// 64-bit in-register prefix XOR: bit k of the result = XOR of bits
+/// 0..k.
+inline std::uint64_t prefix_xor64(std::uint64_t g) {
+  g ^= g << 1;
+  g ^= g << 2;
+  g ^= g << 4;
+  g ^= g << 8;
+  g ^= g << 16;
+  g ^= g << 32;
   return g;
 }
 
@@ -113,7 +120,8 @@ class Avx512Kernel final : public KernelVariant {
   }
   [[nodiscard]] KernelIsa isa() const override { return KernelIsa::kAvx512; }
   [[nodiscard]] std::string_view envelope() const override {
-    return "DC/AC/ACDC encode at burst length 8 (8 bursts per vector); "
+    return "DC/AC/ACDC encode at burst length 8, one lane or 8 "
+           "interleaved lanes (8 bursts per vector); "
            "OPT/OPT-Fixed trellis at burst length 8 with per-burst reset "
            "(8 trellises per vector); width-8 and full-group wide decode "
            "at burst lengths divisible by 8";
@@ -134,34 +142,41 @@ class Avx512Kernel final : public KernelVariant {
                                        bool reset_per_burst) const override {
     return burst_length == 8 && reset_per_burst;
   }
+  [[nodiscard]] bool supports_fixed8_lanes(Fixed8Rule rule, int burst_length,
+                                           int lanes) const override {
+    return supports_fixed8(rule, burst_length) && (lanes == 1 || lanes == 8);
+  }
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
                                 std::size_t bursts, int burst_length,
                                 int stride, bool reset_per_burst,
-                                dbi::BusState& state, BurstResult* results,
+                                const LaneStates& lanes, BurstResult* results,
                                 std::size_t results_stride) const override {
     std::size_t vec = 0;  // bursts the vector loops take, 8 per zmm
     dbi::BurstStats totals;
     // Outside the vector envelope (callers normally pre-check with
-    // supports_fixed8) everything goes to the portable reference.
-    if (burst_length == 8 && rule != Fixed8Rule::kRaw) {
+    // supports_fixed8_lanes) everything goes to the portable reference.
+    if (supports_fixed8_lanes(rule, burst_length, lanes.lanes)) {
       vec = bursts & ~std::size_t{7};
-      totals = reset_per_burst
-                   ? encode_reset(bytes, vec, stride, state, results,
-                                  results_stride,
-                                  [rule](__m512i v, __m512i pop) {
-                                    return fixed_flags(rule, v, pop);
-                                  })
-                   : encode_threaded(rule, bytes, vec, stride, state,
-                                     results, results_stride);
+      if (reset_per_burst)
+        totals = encode_reset(bytes, vec, stride, lanes, results,
+                              results_stride, [rule](__m512i v, __m512i pop) {
+                                return fixed_flags(rule, v, pop);
+                              });
+      else if (lanes.lanes == 1)
+        totals = encode_threaded<1>(rule, bytes, vec, stride, lanes, results,
+                                    results_stride);
+      else
+        totals = encode_threaded<8>(rule, bytes, vec, stride, lanes, results,
+                                    results_stride);
     }
-    // Tail bursts (< 8): the portable per-burst kernel, carrying the
-    // state the vector loop left — bit-exact by construction.
+    // Tail bursts (< 8): the portable per-burst interleave, carrying the
+    // states the vector loop left — bit-exact by construction.
     const auto bb = static_cast<std::size_t>(burst_length) *
                     static_cast<std::size_t>(stride);
     return totals + portable_kernel().encode_fixed8(
                         rule, bytes + vec * bb, bursts - vec, burst_length,
-                        stride, reset_per_burst, state,
+                        stride, reset_per_burst, lanes.advanced(vec),
                         results ? results + vec * results_stride : nullptr,
                         results_stride);
   }
@@ -291,118 +306,167 @@ class Avx512Kernel final : public KernelVariant {
   }
 
   /// Threaded-state vector loop over `bursts` (a multiple of 8) BL8
-  /// bursts; leaves `state` at the last burst's line values.
+  /// bursts, burst j of every 64-beat block in qword j. kLanes = 1: one
+  /// lane, the bursts time-consecutive. kLanes = 8: qword j of every
+  /// block is lane (first_lane + j) % 8, so a block is one time step of
+  /// 8 independent lanes.
+  ///
+  /// On the 9 lines of a byte group the AC rule is
+  /// s_t = (hd(raw_t, raw_(t-1)) >= 5) XOR s_(t-1) — the kept and the
+  /// inverted beat toggle 9 lines between them — and it holds across
+  /// burst boundaries too, with a lane's entry state (dq, dbi) read as
+  /// raw_(-1) = dq ^ (dbi ? 0 : 0xFF), s_(-1) = !dbi. So every beat's
+  /// flag comes from one vector compare against its raw predecessor
+  /// (the previous byte of its qword, or byte 7 of the carried qword
+  /// for beat 0), and the block's 64 decisions are one prefix XOR
+  /// seeded by the carried decisions: 64-bit with one lane, bytewise
+  /// with eight. ACDC decides beat 0 by the DC rule and DC has no
+  /// recurrence, so those carry only the stats inputs (the previous
+  /// transmitted byte and DBI value). Leaves each lane at its last
+  /// burst's line values.
+  template <int kLanes>
   static dbi::BurstStats encode_threaded(Fixed8Rule rule,
                                          const std::uint8_t* bytes,
                                          std::size_t bursts, int stride,
-                                         dbi::BusState& state,
+                                         const LaneStates& lanes,
                                          BurstResult* results,
                                          std::size_t results_stride) {
-    dbi::BurstStats totals;
-    std::uint64_t prev_tx = state.last.dq & 0xFFU;
-    bool prev_dbi = state.last.dbi;
-    const std::uint8_t* p = bytes;
+    static_assert(kLanes == 1 || kLanes == 8);
+    using kernels::kL01;
+    constexpr std::uint64_t kLFE = 0xFEFEFEFEFEFEFEFEULL;
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i one = _mm512_set1_epi8(1);
+    const __m512i eight = _mm512_set1_epi8(8);
+
+    // Carries from the previous block: byte 7 of qword j of raw_prev /
+    // tx_prev is the raw / transmitted beat before qword j's beat 0
+    // (one lane: qword 7 only), bit 8j + 7 of s_prev its decision.
+    __m512i raw_prev;
+    __m512i tx_prev;
+    std::uint64_t s_prev = 0;
+    {
+      alignas(64) std::uint64_t rq[8] = {};
+      alignas(64) std::uint64_t tq[8] = {};
+      for (int j = 8 - kLanes; j < 8; ++j) {
+        const dbi::BusState& st =
+            lanes.at(kLanes == 1 ? 0 : (lanes.first_lane + j) % 8);
+        const std::uint64_t tx = st.last.dq & 0xFFU;
+        const bool s = !st.last.dbi;
+        tq[j] = tx << 56;
+        rq[j] = (tx ^ (s ? 0xFFU : 0U)) << 56;
+        if (s) s_prev |= std::uint64_t{1} << (8 * j + 7);
+      }
+      raw_prev = _mm512_load_si512(rq);
+      tx_prev = _mm512_load_si512(tq);
+    }
+    // Every beat's predecessor byte, in the beat's position. (The maskz
+    // forms: the unmasked shifts' undefined pass-through trips gcc 12's
+    // -Wmaybe-uninitialized under -Werror.)
+    const auto predecessors = [](__m512i cur, __m512i prev) {
+      const __m512i carry =
+          kLanes == 1 ? _mm512_maskz_alignr_epi64(0xFF, cur, prev, 7) : prev;
+      return _mm512_or_si512(_mm512_maskz_slli_epi64(0xFF, cur, 8),
+                             _mm512_maskz_srli_epi64(0xFF, carry, 56));
+    };
+    // Every beat's predecessor decision, in the beat's bit.
+    const auto prev_decisions = [](std::uint64_t s, std::uint64_t carry) {
+      return kLanes == 1 ? (s << 1) | (carry >> 63)
+                         : ((s << 1) & kLFE) | ((carry >> 7) & kL01);
+    };
 
     alignas(64) std::uint8_t gbuf[64];
-    // Byte-shift-with-carry scratch for the transition stream: the
-    // block's transmitted bytes at sc+8, the carried previous byte at
-    // sc+7, so an unaligned reload at sc+7 is "every byte's
-    // predecessor" — valid across burst boundaries because bursts are
-    // time-consecutive on the wire.
-    alignas(64) std::uint8_t sc[72];
-    alignas(64) std::uint64_t txq[8];
-    alignas(64) std::uint64_t txpop[8];
-    alignas(64) std::uint64_t adjpop[8];
-
+    alignas(64) std::uint64_t zq[8];
+    alignas(64) std::uint64_t tq[8];
+    __m512i zsum = zero;
+    __m512i tsum = zero;
+    const std::uint8_t* p = bytes;
     for (std::size_t i = 0; i < bursts; i += 8, p += std::size_t{64} * stride) {
       const __m512i v = load_beats64(p, stride, gbuf);
-      const std::uint8_t* b = p;
-      if (stride != 1) {
-        _mm512_store_si512(gbuf, v);
-        b = gbuf;
-      }
       const __m512i pop = byte_popcount512(v);
-
-      std::uint64_t s64;
-      if (rule == Fixed8Rule::kDc) {
-        // DC: invert iff popcount(byte) <= 3; no recurrence at all.
-        s64 = _mm512_cmple_epu8_mask(pop, _mm512_set1_epi8(3));
-      } else {
-        // AC / ACDC: h-flags for beats 1..7 of every burst in one
-        // compare. The lane-local byte shift corrupts only each lane's
-        // byte 0 — beat 0 of a burst, whose flag the boundary rule
-        // overwrites anyway.
+      const std::uint64_t dc = _mm512_cmple_epu8_mask(pop, _mm512_set1_epi8(3));
+      std::uint64_t s = dc;
+      if (rule != Fixed8Rule::kDc) {
         const __m512i h =
-            byte_popcount512(_mm512_xor_si512(v, _mm512_bslli_epi128(v, 1)));
-        const std::uint64_t g_bits =
+            byte_popcount512(_mm512_xor_si512(v, predecessors(v, raw_prev)));
+        const std::uint64_t g =
             _mm512_cmp_epu8_mask(h, _mm512_set1_epi8(5), _MM_CMPINT_NLT);
-        std::uint64_t dc_bits = 0;
         if (rule == Fixed8Rule::kAcDc)
-          dc_bits = _mm512_cmple_epu8_mask(pop, _mm512_set1_epi8(3));
-
-        // Serial per-burst fixup: beat 0 decides against the physical
-        // bus state, then the burst's 8 decision bits collapse with a
-        // register prefix XOR. Threads a local (tx, dbi) shadow of the
-        // carry chain; the stats pass below recomputes the same values.
-        std::uint64_t ptx = prev_tx;
-        bool pdbi = prev_dbi;
-        s64 = 0;
-        for (int j = 0; j < 8; ++j) {
-          std::uint8_t gb =
-              static_cast<std::uint8_t>((g_bits >> (8 * j)) & 0xFE);
-          bool g0;
-          if (rule == Fixed8Rule::kAcDc) {
-            g0 = ((dc_bits >> (8 * j)) & 1U) != 0;
-          } else {
-            const int t0 =
-                std::popcount(static_cast<std::uint32_t>(
-                    (b[8 * j] ^ ptx) & 0xFFU)) +
-                (pdbi ? 0 : 1);
-            g0 = t0 >= 5;
-          }
-          const std::uint8_t sb =
-              prefix_xor8(static_cast<std::uint8_t>(gb | (g0 ? 1 : 0)));
-          s64 |= static_cast<std::uint64_t>(sb) << (8 * j);
-          ptx = b[8 * j + 7] ^ ((sb & 0x80U) ? 0xFFU : 0U);
-          pdbi = (sb & 0x80U) == 0;
-        }
+          s = kernels::bytewise_prefix_xor((g & ~kL01) | (dc & kL01));
+        else if (kLanes == 1)
+          s = prefix_xor64(g) ^ (std::uint64_t{0} - (s_prev >> 63));
+        else
+          s = kernels::bytewise_prefix_xor(g) ^
+              (((s_prev >> 7) & kL01) * 0xFFU);
       }
 
-      const __m512i tx =
-          _mm512_xor_si512(v, _mm512_movm_epi8(static_cast<__mmask64>(s64)));
-      _mm512_store_si512(txq, tx);
-      _mm512_store_si512(txpop,
-                         _mm512_sad_epu8(byte_popcount512(tx),
-                                         _mm512_setzero_si512()));
-      sc[7] = static_cast<std::uint8_t>(prev_tx);
-      _mm512_storeu_si512(sc + 8, tx);
-      const __m512i prevv = _mm512_loadu_si512(sc + 7);
-      _mm512_store_si512(
-          adjpop, _mm512_sad_epu8(byte_popcount512(_mm512_xor_si512(tx, prevv)),
-                                  _mm512_setzero_si512()));
-
-      for (int j = 0; j < 8; ++j) {
-        const auto sb = static_cast<std::uint32_t>((s64 >> (8 * j)) & 0xFFU);
-        dbi::BurstStats st;
-        st.zeros = 64 - static_cast<int>(txpop[j]) +
-                   std::popcount(sb);
-        const std::uint32_t dbi_bits = ~sb & 0xFFU;
-        const std::uint32_t dbi_adj =
-            (dbi_bits ^ ((dbi_bits << 1) | (prev_dbi ? 1U : 0U))) & 0xFFU;
-        st.transitions =
-            static_cast<int>(adjpop[j]) + std::popcount(dbi_adj);
-        totals += st;
-        if (results)
-          results[(i + static_cast<std::size_t>(j)) * results_stride] =
-              BurstResult{sb, st};
-        prev_tx = (txq[j] >> 56) & 0xFFU;
-        prev_dbi = (sb & 0x80U) == 0;
+      // Stats as in encode_reset, with the carried predecessors in
+      // place of the all-ones boundary.
+      const auto k = static_cast<__mmask64>(s);
+      const __m512i tx = _mm512_xor_si512(v, _mm512_movm_epi8(k));
+      const __m512i zb = _mm512_mask_blend_epi8(
+          k, _mm512_sub_epi8(eight, pop), _mm512_add_epi8(pop, one));
+      const __m512i dq_t =
+          byte_popcount512(_mm512_xor_si512(tx, predecessors(tx, tx_prev)));
+      const std::uint64_t dbi_t = s ^ prev_decisions(s, s_prev);
+      const __m512i tb = _mm512_mask_add_epi8(
+          dq_t, static_cast<__mmask64>(dbi_t), dq_t, one);
+      const __m512i zv = _mm512_sad_epu8(zb, zero);
+      const __m512i tv = _mm512_sad_epu8(tb, zero);
+      zsum = _mm512_add_epi64(zsum, zv);
+      tsum = _mm512_add_epi64(tsum, tv);
+      if (results) {
+        _mm512_store_si512(zq, zv);
+        _mm512_store_si512(tq, tv);
+        BurstResult* r = results + i * results_stride;
+        for (int j = 0; j < 8; ++j, r += results_stride)
+          *r = BurstResult{(s >> (8 * j)) & 0xFFU,
+                           dbi::BurstStats{static_cast<int>(zq[j]),
+                                           static_cast<int>(tq[j])}};
       }
+      raw_prev = v;
+      tx_prev = tx;
+      s_prev = s;
     }
 
-    if (bursts > 0)
-      state.last = dbi::Beat{static_cast<dbi::Word>(prev_tx), prev_dbi};
-    return totals;
+    if (bursts > 0) store_lane_states(lanes, tx_prev, s_prev);
+    return sum_stats(zsum, tsum);
+  }
+
+  /// Leaves each lane at its last burst's line values after a vector
+  /// loop whose final block transmitted `tx` with decisions `s64`
+  /// (burst j in qword j): one lane ends at qword 7, eight lanes at
+  /// qword j for lane (first_lane + j) % 8.
+  static void store_lane_states(const LaneStates& lanes, __m512i tx,
+                                std::uint64_t s64) {
+    alignas(64) std::uint64_t txq[8];
+    _mm512_store_si512(txq, tx);
+    const auto last = [&](int j) {
+      return dbi::Beat{static_cast<dbi::Word>(txq[j] >> 56),
+                       ((s64 >> (8 * j + 7)) & 1U) == 0};
+    };
+    if (lanes.lanes == 1) {
+      lanes.at(0).last = last(7);
+      return;
+    }
+    for (int j = 0; j < 8; ++j)
+      lanes.at((lanes.first_lane + j) % 8).last = last(j);
+  }
+
+  /// Total stats of a vector loop's per-qword zero / transition sums
+  /// (not _mm512_reduce_add_epi64, for the same gcc 12 warning).
+  static dbi::BurstStats sum_stats(__m512i zsum, __m512i tsum) {
+    alignas(64) std::uint64_t zq[8];
+    alignas(64) std::uint64_t tq[8];
+    _mm512_store_si512(zq, zsum);
+    _mm512_store_si512(tq, tsum);
+    std::uint64_t zeros = 0;
+    std::uint64_t transitions = 0;
+    for (int j = 0; j < 8; ++j) {
+      zeros += zq[j];
+      transitions += tq[j];
+    }
+    return dbi::BurstStats{static_cast<int>(zeros),
+                           static_cast<int>(transitions)};
   }
 
   /// Fixed-rule inversion flags of one per-burst-reset block (8 BL8
@@ -502,7 +566,7 @@ class Avx512Kernel final : public KernelVariant {
   template <typename Flags>
   static dbi::BurstStats encode_reset(const std::uint8_t* bytes,
                                       std::size_t bursts, int stride,
-                                      dbi::BusState& state,
+                                      const LaneStates& lanes,
                                       BurstResult* results,
                                       std::size_t results_stride,
                                       Flags flags) {
@@ -557,22 +621,8 @@ class Avx512Kernel final : public KernelVariant {
       }
     }
 
-    if (bursts > 0) {
-      // The last burst's last beat: byte 63 of the final block.
-      const auto last_tx = static_cast<std::uint8_t>(
-          _mm_extract_epi8(_mm512_maskz_extracti32x4_epi32(0xF, tx, 3), 15));
-      state.last = dbi::Beat{last_tx, (s64 >> 63) == 0};
-    }
-    _mm512_store_si512(zq, zsum);
-    _mm512_store_si512(tq, tsum);
-    std::uint64_t zeros = 0;
-    std::uint64_t transitions = 0;
-    for (int j = 0; j < 8; ++j) {
-      zeros += zq[j];
-      transitions += tq[j];
-    }
-    return dbi::BurstStats{static_cast<int>(zeros),
-                           static_cast<int>(transitions)};
+    if (bursts > 0) store_lane_states(lanes, tx, s64);
+    return sum_stats(zsum, tsum);
   }
 };
 

@@ -43,14 +43,18 @@ class NeonKernel final : public KernelVariant {
   [[nodiscard]] bool supports_trellis8(int, bool) const override {
     return false;
   }
+  [[nodiscard]] bool supports_fixed8_lanes(Fixed8Rule, int,
+                                           int) const override {
+    return false;
+  }
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
                                 std::size_t bursts, int burst_length,
                                 int stride, bool reset_per_burst,
-                                dbi::BusState& state, BurstResult* results,
+                                const LaneStates& lanes, BurstResult* results,
                                 std::size_t results_stride) const override {
     return portable_kernel().encode_fixed8(rule, bytes, bursts, burst_length,
-                                           stride, reset_per_burst, state,
+                                           stride, reset_per_burst, lanes,
                                            results, results_stride);
   }
 

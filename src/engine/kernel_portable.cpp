@@ -39,17 +39,25 @@ class PortableKernel final : public KernelVariant {
   [[nodiscard]] bool supports_trellis8(int, bool) const override {
     return true;
   }
+  [[nodiscard]] bool supports_fixed8_lanes(Fixed8Rule, int,
+                                           int) const override {
+    return true;
+  }
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
                                 std::size_t bursts, int burst_length,
                                 int stride, bool reset_per_burst,
-                                dbi::BusState& state, BurstResult* results,
+                                const LaneStates& lanes, BurstResult* results,
                                 std::size_t results_stride) const override {
     const auto burst_bytes = static_cast<std::size_t>(burst_length) *
                              static_cast<std::size_t>(stride);
     dbi::BurstStats totals;
     const std::uint8_t* p = bytes;
+    int lane = lanes.first_lane;
     for (std::size_t i = 0; i < bursts; ++i, p += burst_bytes) {
+      // The interleave: each burst threads its own lane's state.
+      dbi::BusState& state = lanes.at(lane);
+      if (++lane == lanes.lanes) lane = 0;
       // Per-burst reset: BusState::all_ones of a width-8 group.
       if (reset_per_burst) state.last = dbi::Beat{0xFF, true};
       BurstResult r;

@@ -126,8 +126,11 @@ std::string kernel_candidates() {
   return out;
 }
 
-const KernelVariant& resolve_kernel(std::string_view name) {
-  if (name.empty() || name == "auto") return hardware_default();
+namespace {
+
+/// A registry name that must match a compiled-in variant whose ISA the
+/// host reports.
+const KernelVariant& resolve_named(std::string_view name) {
   const KernelVariant* k = find_kernel(name);
   if (!k)
     throw std::invalid_argument("unknown kernel '" + std::string(name) +
@@ -141,9 +144,17 @@ const KernelVariant& resolve_kernel(std::string_view name) {
   return *k;
 }
 
+}  // namespace
+
+const KernelVariant& resolve_kernel(std::string_view name) {
+  if (name.empty() || name == "auto") return default_kernel();
+  return resolve_named(name);
+}
+
 const KernelVariant& default_kernel() {
-  if (const char* env = std::getenv("DBI_KERNEL"); env != nullptr && *env != 0)
-    return resolve_kernel(env);
+  if (const char* env = std::getenv("DBI_KERNEL");
+      env != nullptr && *env != 0 && std::string_view(env) != "auto")
+    return resolve_named(env);
   return hardware_default();
 }
 

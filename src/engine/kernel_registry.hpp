@@ -8,12 +8,12 @@
 // variants (AVX2 / AVX-512 / NEON), each compiled in its own TU with
 // per-file -m flags so the binary stays portable. A KernelVariant names
 // one implementation, declares the ISA it needs and the envelope (rule,
-// burst length, state policy) its vector loops accept, and exposes the
-// four entry points BatchEncoder/BatchDecoder dispatch through. Outside
-// a variant's envelope the caller falls back to the portable reference,
-// so every geometry works under every variant and results are bit-exact
-// by construction (the SIMD TUs reuse the portable kernels for their
-// tails).
+// burst length, state policy, interleaved lane count) its vector loops
+// accept, and exposes the four entry points BatchEncoder/BatchDecoder
+// dispatch through. Outside a variant's envelope the caller falls back
+// to the portable reference, so every geometry works under every
+// variant and results are bit-exact by construction (the SIMD TUs reuse
+// the portable kernels for their tails).
 //
 // Selection: default_kernel() picks the highest-priority variant whose
 // ISA the host CPU reports (__builtin_cpu_supports / getauxval), unless
@@ -97,6 +97,42 @@ enum class TrellisRule { kOpt, kOptFixed };
   }
 }
 
+/// The lane interleave of one encode_fixed8 call: burst i of the call
+/// belongs to lane (first_lane + i) % lanes, and lane l threads (or,
+/// under per-burst reset, ends at) states[l * state_stride]. The state
+/// stride lets one group's lanes sit in a group-minor lanes x groups
+/// array (StreamEncoder's layout: stride groups(), span starting at the
+/// group's lane-0 entry). Converts implicitly from a single BusState —
+/// one lane, the plain contiguous-stream contract.
+struct LaneStates {
+  LaneStates(dbi::BusState& state)  // NOLINT(google-explicit-constructor)
+      : states(&state, 1) {}
+  LaneStates(std::span<dbi::BusState> lane_states, int lane_count,
+             int first, std::size_t stride = 1)
+      : states(lane_states),
+        lanes(lane_count),
+        first_lane(first),
+        state_stride(stride) {}
+
+  /// Lane `lane`'s state (0 <= lane < lanes).
+  [[nodiscard]] dbi::BusState& at(int lane) const {
+    return states[static_cast<std::size_t>(lane) * state_stride];
+  }
+  /// The interleave of the same stream `bursts` bursts further on.
+  [[nodiscard]] LaneStates advanced(std::size_t bursts) const {
+    LaneStates next = *this;
+    next.first_lane = static_cast<int>(
+        (static_cast<std::size_t>(first_lane) + bursts) %
+        static_cast<std::size_t>(lanes));
+    return next;
+  }
+
+  std::span<dbi::BusState> states;  ///< >= (lanes - 1) * state_stride + 1
+  int lanes = 1;
+  int first_lane = 0;  ///< 0 <= first_lane < lanes
+  std::size_t state_stride = 1;
+};
+
 /// One implementation of the engine's hot width-8 paths.
 ///
 /// Entry-point contracts (callers check the supports_* envelope first;
@@ -106,15 +142,20 @@ enum class TrellisRule { kOpt, kOptFixed };
 ///   `burst_length` beats each, beat t of burst i read from
 ///   bytes[(i * burst_length + t) * stride] (stride 1 = the packed
 ///   narrow layout, stride = groups() = one group slice of a wide
-///   beat-major payload). Without `reset_per_burst` it threads `state`
-///   through all bursts exactly like the SWAR reference. With it,
-///   every burst starts from the all-ones bus state (DQ 0xFF, DBI
+///   beat-major payload). Burst i belongs to lane (first_lane + i) %
+///   lanes of `lanes` (see LaneStates; one lane is a plain contiguous
+///   stream). Without `reset_per_burst` each lane's state threads
+///   through that lane's bursts exactly like the SWAR reference
+///   threading a single state through the lane's bursts alone. With
+///   it, every burst starts from the all-ones bus state (DQ 0xFF, DBI
 ///   high: BusState::all_ones of a width-8 group, the paper's
-///   Section II boundary), so bursts are independent and the value of
-///   `state` on entry is ignored. Either way `state` ends at the last
-///   burst's line values (untouched when `bursts` is 0). Writes burst
-///   i's result to results[i * results_stride] when `results` is
-///   non-null, and returns the summed stats.
+///   Section II boundary), so bursts are independent and the entry
+///   states are ignored. Either way each lane's state ends at its last
+///   burst's line values; lanes that get no burst keep their state
+///   untouched. Writes burst i's result to results[i * results_stride]
+///   when `results` is non-null (call order, whatever the lane), and
+///   returns the summed stats. Every variant accepts every lane count;
+///   supports_fixed8_lanes says which ones its vector loops take.
 ///
 ///   encode_trellis8: the same byte layout, state, results and
 ///   results_stride contract as encode_fixed8, for the trellis schemes:
@@ -154,13 +195,19 @@ class KernelVariant {
   [[nodiscard]] virtual bool supports_decode_wide8(int burst_length) const = 0;
   [[nodiscard]] virtual bool supports_trellis8(int burst_length,
                                                bool reset_per_burst) const = 0;
+  /// Whether encode_fixed8 runs `lanes` interleaved lanes in its
+  /// vector loops (outside, it still returns the reference results via
+  /// the portable per-burst interleave). Implies supports_fixed8.
+  [[nodiscard]] virtual bool supports_fixed8_lanes(Fixed8Rule rule,
+                                                   int burst_length,
+                                                   int lanes) const = 0;
 
   // --- entry points
   virtual dbi::BurstStats encode_fixed8(Fixed8Rule rule,
                                         const std::uint8_t* bytes,
                                         std::size_t bursts, int burst_length,
                                         int stride, bool reset_per_burst,
-                                        dbi::BusState& state,
+                                        const LaneStates& lanes,
                                         BurstResult* results,
                                         std::size_t results_stride) const = 0;
   virtual dbi::BurstStats encode_trellis8(
@@ -187,14 +234,15 @@ class KernelVariant {
 /// variant has that name.
 [[nodiscard]] const KernelVariant* find_kernel(std::string_view name);
 
-/// Resolves a user-facing selection: "auto" (or empty) picks the
-/// highest-priority variant the host CPU supports; any other name must
-/// match a compiled-in variant whose ISA is available. Throws
+/// Resolves a user-facing selection: "auto" (or empty) is the process
+/// default (default_kernel(), so DBI_KERNEL applies); any other name
+/// must match a compiled-in variant whose ISA is available. Throws
 /// std::invalid_argument naming the candidates otherwise.
 [[nodiscard]] const KernelVariant& resolve_kernel(std::string_view name);
 
-/// The process-wide default: resolve_kernel(DBI_KERNEL) when the
-/// environment override is set, the hardware auto-selection otherwise.
+/// The process-wide default: the variant DBI_KERNEL names when the
+/// environment override is set (to anything but "auto"), else the
+/// highest-priority variant the host CPU supports.
 [[nodiscard]] const KernelVariant& default_kernel();
 
 /// "swar, avx2-fixed8 (unavailable: needs avx2), ..." — the candidate

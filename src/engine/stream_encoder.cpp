@@ -33,6 +33,7 @@ StreamEncoder::StreamEncoder(const BatchEncoder& encoder,
   opt_.validate();
   cfg_.validate();
   bytes_per_burst_ = static_cast<std::size_t>(cfg_.bytes_per_burst());
+  full_groups_ = cfg_.width == 8 ? 1 : 0;
   units_.resize(static_cast<std::size_t>(opt_.lanes));
   init(states);
 }
@@ -45,6 +46,7 @@ StreamEncoder::StreamEncoder(const BatchEncoder& encoder,
   opt_.validate();
   wcfg_.validate();
   groups_ = wcfg_.groups();
+  full_groups_ = wcfg_.width / 8;
   bytes_per_burst_ = static_cast<std::size_t>(wcfg_.bytes_per_burst());
   units_.resize(static_cast<std::size_t>(opt_.lanes) *
                 static_cast<std::size_t>(groups_));
@@ -126,39 +128,27 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
   // A wide unit encodes one byte per beat once its slice is gathered.
   const auto slice_bb =
       wide_ ? static_cast<std::size_t>(wcfg_.burst_length) : bb;
-
-  std::span<const std::uint8_t> bytes;
-  bool in_place_wide = false;
-  if (L == 1) {
-    // Single-lane streams consume the chunk view in place — for
-    // uncompressed trace chunks that is the mmap page itself (zero
-    // copy; wide groups read their bytes at stride groups()).
-    bytes = payload;
-    in_place_wide = wide_;
-  } else if (!wide_) {
-    obs::ScopedSpan gather_span(opt_.obs, obs::Stage::kGather, lane, group);
-    us.bytes.resize(mine * bb);
-    std::uint8_t* dst = us.bytes.data();
-    const std::uint8_t* src = payload.data();
-    for (std::size_t j = j0; j < count; j += static_cast<std::size_t>(L)) {
-      std::memcpy(dst, src + j * bb, bb);
-      dst += bb;
-    }
-    bytes = us.bytes;
-  } else {
-    // Gather only this unit's group slice (1 byte per beat), so the L
-    // x groups units never copy a byte twice.
+  {
     obs::ScopedSpan gather_span(opt_.obs, obs::Stage::kGather, lane, group);
     us.bytes.resize(mine * slice_bb);
     std::uint8_t* dst = us.bytes.data();
     const std::uint8_t* src = payload.data();
-    const auto stride = static_cast<std::size_t>(groups_);
-    for (std::size_t j = j0; j < count; j += static_cast<std::size_t>(L)) {
-      const std::uint8_t* burst = src + j * bb + static_cast<std::size_t>(group);
-      for (std::size_t t = 0; t < slice_bb; ++t) dst[t] = burst[t * stride];
-      dst += slice_bb;
+    if (!wide_) {
+      for (std::size_t j = j0; j < count; j += static_cast<std::size_t>(L)) {
+        std::memcpy(dst, src + j * bb, bb);
+        dst += bb;
+      }
+    } else {
+      // Gather only this unit's group slice (1 byte per beat), so the L
+      // x groups units never copy a byte twice.
+      const auto stride = static_cast<std::size_t>(groups_);
+      for (std::size_t j = j0; j < count; j += static_cast<std::size_t>(L)) {
+        const std::uint8_t* burst =
+            src + j * bb + static_cast<std::size_t>(group);
+        for (std::size_t t = 0; t < slice_bb; ++t) dst[t] = burst[t * stride];
+        dst += slice_bb;
+      }
     }
-    bytes = us.bytes;
   }
   // Results land straight in chunk order: this unit's k-th burst is
   // chunk burst j0 + k * L, group `group`.
@@ -169,20 +159,49 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
                             j0 * static_cast<std::size_t>(groups_) +
                             static_cast<std::size_t>(group)
                       : nullptr;
-  const std::size_t step = in_place_wide ? bb : slice_bb;
+  const std::span<const std::uint8_t> bytes = us.bytes;
   const bool reset = opt_.reset_state_per_burst;
   for (std::size_t k0 = 0; k0 < mine; k0 += kAccumBlockBursts) {
     const std::size_t block = std::min(kAccumBlockBursts, mine - k0);
-    const auto block_bytes = bytes.subspan(k0 * step, block * step);
-    BurstResult* block_results =
-        results ? results + k0 * results_stride : nullptr;
+    const dbi::BurstStats s = encoder_.encode_packed(
+        bytes.subspan(k0 * slice_bb, block * slice_bb), cfg, state,
+        results ? results + k0 * results_stride : nullptr, results_stride,
+        reset);
+    us.zeros += s.zeros;
+    us.transitions += s.transitions;
+  }
+}
+
+void StreamEncoder::encode_group_lanes(int group, std::int64_t first_burst,
+                                       std::span<const std::uint8_t> payload,
+                                       std::size_t count,
+                                       bool collect_results) {
+  const int L = opt_.lanes;
+  obs::ScopedSpan unit_span(opt_.obs, obs::Stage::kEncodeUnit,
+                            L == 1 ? 0 : -1, group);
+  const auto G = static_cast<std::size_t>(groups_);
+  // In place, straight off the chunk view — for uncompressed trace
+  // chunks that is the mmap page itself (zero copy; wide groups read
+  // their bytes at stride groups()). The group's lane states sit
+  // group-minor at stride groups(); its totals accumulate in the
+  // (lane 0, group) unit.
+  const LaneStates lanes(states_.subspan(static_cast<std::size_t>(group)), L,
+                         static_cast<int>(first_burst % L), G);
+  StreamUnit& us = units_[static_cast<std::size_t>(group)];
+  BurstResult* results =
+      collect_results ? chunk_results_.data() + group : nullptr;
+  const bool reset = opt_.reset_state_per_burst;
+  for (std::size_t k0 = 0; k0 < count; k0 += kAccumBlockBursts) {
+    const std::size_t block = std::min(kAccumBlockBursts, count - k0);
+    const auto block_bytes =
+        payload.subspan(k0 * bytes_per_burst_, block * bytes_per_burst_);
+    BurstResult* block_results = results ? results + k0 * G : nullptr;
     const dbi::BurstStats s =
-        in_place_wide
-            ? encoder_.encode_packed_group(block_bytes, wcfg_, group, state,
-                                           block_results, results_stride,
-                                           reset)
-            : encoder_.encode_packed(block_bytes, cfg, state, block_results,
-                                     results_stride, reset);
+        wide_ ? encoder_.encode_packed_group(block_bytes, wcfg_, group,
+                                             lanes.advanced(k0),
+                                             block_results, G, reset)
+              : encoder_.encode_packed(block_bytes, cfg_, lanes.advanced(k0),
+                                       block_results, 1, reset);
     us.zeros += s.zeros;
     us.transitions += s.transitions;
   }
@@ -202,16 +221,35 @@ std::span<const BurstResult> StreamEncoder::encode_chunk(
                              static_cast<std::int32_t>(std::min<std::size_t>(
                                  burst_count, INT32_MAX)));
   if (opt_.obs) opt_.obs->chunks.inc();
-  const auto unit_count = static_cast<int>(units_.size());
-  auto run_unit = [this, first_burst, payload, burst_count,
-                   collect_results](int unit) {
-    encode_unit_slice(unit, first_burst, payload, burst_count,
-                      collect_results);
+  // In place, one work item per group: every group of a one-lane
+  // stream, and the full byte groups whose lanes the kernel
+  // interleaves. Every other (lane, group) unit is gathered.
+  const int burst_length = wide_ ? wcfg_.burst_length : cfg_.burst_length;
+  const int shared = opt_.lanes == 1 ? groups_
+                     : encoder_.interleaves(burst_length, opt_.lanes)
+                         ? full_groups_
+                         : 0;
+  const int gathered_groups = groups_ - shared;
+  const int items = shared + gathered_groups * opt_.lanes;
+  auto run_item = [this, first_burst, payload, burst_count, collect_results,
+                   shared, gathered_groups](int item) {
+    if (item < shared) {
+      encode_group_lanes(item, first_burst, payload, burst_count,
+                         collect_results);
+      return;
+    }
+    const int r = item - shared;
+    const int lane = r / gathered_groups;
+    const int group = shared + r % gathered_groups;
+    encode_unit_slice(lane * groups_ + group, first_burst, payload,
+                      burst_count, collect_results);
   };
-  if (opt_.pool) {
-    opt_.pool->run(unit_count, run_unit);
+  // A single work item (a narrow stream in place) runs on the caller:
+  // waking the pool would only add its hand-off latency.
+  if (opt_.pool && items > 1) {
+    opt_.pool->run(items, run_item);
   } else {
-    for (int u = 0; u < unit_count; ++u) run_unit(u);
+    for (int i = 0; i < items; ++i) run_item(i);
   }
   bursts_ += static_cast<std::int64_t>(burst_count);
   return collect_results ? std::span<const BurstResult>(chunk_results_)

@@ -11,12 +11,23 @@
 // threaded BusState — so a single x64 lane still spreads across 8
 // workers. Totals accumulate in 64-bit counters internally
 // (chunks of any size are block-split so BurstStats's int fields never
-// overflow), and single-lane streams are encoded in place with zero
-// copy (wide groups read their bytes at stride groups()). Each unit
-// makes one BatchEncoder call per accumulation block under either
-// state policy — per-burst reset is a flag the kernels honour, not a
-// per-burst loop — and collected results are written by the kernels
-// straight into chunk order at stride lanes x groups.
+// overflow). Each group takes one of two routes:
+//   * in place, for every group of a single-lane stream and for the
+//     full byte groups of a multi-lane stream whose lanes the encoder's
+//     kernel interleaves (BatchEncoder::interleaves: avx512-fixed8 at 8
+//     lanes, swar at any count, per burst): one call per group encodes
+//     every lane straight off the chunk view — zero copy, wide groups
+//     read at stride groups(), the group's lane states threaded at
+//     stride groups(). A narrow stream is then one work item and runs
+//     on the caller, not the pool;
+//   * gathered, otherwise (AVX2 / NEON, other lane counts, the trellis
+//     schemes, a remainder group narrower than a byte): each
+//     (lane, group) unit copies its bursts apart and encodes them as
+//     one contiguous stream.
+// Either way each work item makes one BatchEncoder call per
+// accumulation block under either state policy — per-burst reset is a
+// flag the kernels honour, not a per-burst loop — and collected results
+// are written by the kernels straight into chunk order.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +57,11 @@ struct StreamEncodeOptions {
   void validate() const;
 };
 
-/// One shard unit's scratch: the gathered payload slice (multi-lane
-/// streams only) and the unit's 64-bit totals. Results need no per-unit
-/// staging: the kernels write each unit's bursts straight into the
-/// chunk-order result array at stride lanes x groups.
+/// One shard unit's scratch: the gathered payload slice (gathered units
+/// only) and the unit's 64-bit totals (an in-place group keeps its
+/// totals in its lane-0 unit). Results need no per-unit staging: the
+/// kernels write every burst straight into the chunk-order result
+/// array.
 struct StreamUnit {
   std::vector<std::uint8_t> bytes;  // gathered packed slice
   std::int64_t zeros = 0;
@@ -114,6 +126,9 @@ class StreamEncoder {
   void encode_unit_slice(int unit, std::int64_t first_burst,
                          std::span<const std::uint8_t> payload,
                          std::size_t burst_count, bool collect_results);
+  void encode_group_lanes(int group, std::int64_t first_burst,
+                          std::span<const std::uint8_t> payload,
+                          std::size_t burst_count, bool collect_results);
   [[nodiscard]] dbi::BusConfig unit_config(int unit) const;
 
   const BatchEncoder& encoder_;
@@ -122,6 +137,7 @@ class StreamEncoder {
   bool wide_ = false;
   StreamEncodeOptions opt_;
   int groups_ = 1;
+  int full_groups_ = 0;  // leading groups that are full bytes
   std::size_t bytes_per_burst_ = 0;
   std::int64_t bursts_ = 0;
   std::vector<StreamUnit> units_;       // lanes x groups, group-minor

@@ -23,6 +23,10 @@ constexpr int kFeatures = 4;
 /// probe history spans the feature space.
 constexpr double kRidge = 1e-6;
 
+/// Largest block byte count the entropy-term memo covers (2 MiB of
+/// doubles); bigger blocks compute every term directly.
+constexpr std::size_t kMaxEntropyMemo = std::size_t{1} << 18;
+
 std::string json_num(double v) {
   if (!std::isfinite(v)) return "0";
   char buf[32];
@@ -139,6 +143,8 @@ ChunkSelector::ChunkSelector(const Config& cfg)
   geometry_.validate();
   weights_.validate();
   obs_ = cfg.obs;
+  collect_results_ =
+      cfg.collect_results || policy_.cost_model() == CostModel::kBytes;
 
   // Candidate trials are an implementation detail of one logical encode
   // pass, so the per-candidate stream encoders do not report into the
@@ -178,6 +184,13 @@ ChunkSelector::ChunkSelector(const Config& cfg)
     candidates_.push_back(std::move(c));
   }
   committed_ = candidates_.front()->states;
+  if (policy_.mode() == SchemePolicy::Mode::kAdaptivePredicted) {
+    // Entropy-term memo: one slot per possible byte count of a block.
+    const auto block_bytes =
+        static_cast<std::size_t>(policy_.block_bursts()) *
+        static_cast<std::size_t>(geometry_.bytes_per_burst());
+    entropy_terms_.assign(std::min(block_bytes, kMaxEntropyMemo) + 1, 1.0);
+  }
   if (cfg.kernel) decoder_.set_kernel(*cfg.kernel);
 }
 
@@ -237,8 +250,8 @@ std::size_t ChunkSelector::trial_all(std::int64_t first_burst,
     std::copy(committed_.begin(), committed_.end(), c.states.begin());
     const std::int64_t z0 = c.enc->zeros();
     const std::int64_t t0 = c.enc->transitions();
-    c.last_results =
-        c.enc->encode_chunk(first_burst, payload, burst_count, true);
+    c.last_results = c.enc->encode_chunk(first_burst, payload, burst_count,
+                                         collect_results_);
     c.last_d_zeros = c.enc->zeros() - z0;
     c.last_d_transitions = c.enc->transitions() - t0;
     costs[i] = block_cost(c, payload, c.last_results, c.last_d_zeros,
@@ -251,37 +264,78 @@ std::size_t ChunkSelector::trial_all(std::int64_t first_burst,
 }
 
 void ChunkSelector::compute_features(std::span<const std::uint8_t> payload,
-                                     double features[kFeatures]) const {
+                                     double features[kFeatures]) {
   features[0] = 1.0;
   features[1] = features[2] = features[3] = 0.0;
   const std::size_t n = payload.size();
   if (n == 0) return;
+  const std::uint8_t* const bytes = payload.data();
 
+  // Byte histogram through four interleaved sub-histograms (breaks the
+  // store-to-load chain on runs of equal bytes), folded into 64-bit
+  // bins every 2^30 bytes so the 32-bit sub-counts never wrap.
   std::uint64_t hist[256] = {};
-  std::size_t zero_bytes = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    ++hist[payload[i]];
-    zero_bytes += payload[i] == 0 ? 1 : 0;
+  for (std::size_t base = 0; base < n; base += std::size_t{1} << 30) {
+    const std::size_t end = std::min(n, base + (std::size_t{1} << 30));
+    std::uint32_t sub[4][256] = {};
+    std::size_t i = base;
+    for (; i + 4 <= end; i += 4) {
+      ++sub[0][bytes[i]];
+      ++sub[1][bytes[i + 1]];
+      ++sub[2][bytes[i + 2]];
+      ++sub[3][bytes[i + 3]];
+    }
+    for (; i < end; ++i) ++sub[0][bytes[i]];
+    for (int b = 0; b < 256; ++b)
+      hist[b] += std::uint64_t{sub[0][b]} + sub[1][b] + sub[2][b] + sub[3][b];
   }
-  features[2] = static_cast<double>(zero_bytes) / static_cast<double>(n);
+  features[2] = static_cast<double>(hist[0]) / static_cast<double>(n);
 
   // Toggle density: mean bit flips between consecutive beats of the
-  // same line (stride = bytes per beat in both layouts).
+  // same line (stride = bytes per beat in both layouts), eight byte
+  // pairs per popcount.
   const auto stride = static_cast<std::size_t>(geometry_.bytes_per_beat());
   if (n > stride) {
     std::uint64_t toggles = 0;
-    for (std::size_t i = stride; i < n; ++i)
+    std::size_t i = stride;
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t cur = 0;
+      std::uint64_t prev = 0;
+      std::memcpy(&cur, bytes + i, 8);
+      std::memcpy(&prev, bytes + i - stride, 8);
+      toggles += static_cast<std::uint64_t>(std::popcount(cur ^ prev));
+    }
+    for (; i < n; ++i)
       toggles += static_cast<std::uint64_t>(
-          std::popcount(static_cast<unsigned>(payload[i] ^ payload[i - stride])));
+          std::popcount(static_cast<unsigned>(bytes[i] ^ bytes[i - stride])));
     features[1] = static_cast<double>(toggles) /
                   (8.0 * static_cast<double>(n - stride));
   }
 
-  double entropy = 0.0;
-  for (const std::uint64_t count : hist) {
-    if (count == 0) continue;
+  // Entropy in bin order. Every block but a stream's last has the same
+  // byte count, so each count's term p * log2(p) is computed once per
+  // byte count and memoised: entropy_terms_ holds +1.0 (never a term
+  // value) for counts not seen yet, and 0.0 for an empty bin, whose
+  // subtraction leaves the sum bit-identical to skipping the bin.
+  const auto term_of = [n](std::uint64_t count) {
     const double p = static_cast<double>(count) / static_cast<double>(n);
-    entropy -= p * std::log2(p);
+    return p * std::log2(p);
+  };
+  double entropy = 0.0;
+  if (n < entropy_terms_.size()) {
+    if (n != entropy_terms_n_) {
+      std::fill(entropy_terms_.begin(), entropy_terms_.end(), 1.0);
+      entropy_terms_[0] = 0.0;
+      entropy_terms_n_ = n;
+    }
+    for (const std::uint64_t count : hist) {
+      double& term = entropy_terms_[count];
+      if (term > 0.0) term = term_of(count);
+      entropy -= term;
+    }
+  } else {
+    for (const std::uint64_t count : hist)
+      if (count != 0) entropy -= term_of(count);
   }
   features[3] = entropy / 8.0;
 }
@@ -361,7 +415,8 @@ ChunkSelector::BlockResult ChunkSelector::encode_block(
   std::copy(committed_.begin(), committed_.end(), w.states.begin());
   const std::int64_t z0 = w.enc->zeros();
   const std::int64_t t0 = w.enc->transitions();
-  w.last_results = w.enc->encode_chunk(first_burst, payload, burst_count, true);
+  w.last_results = w.enc->encode_chunk(first_burst, payload, burst_count,
+                                       collect_results_);
   w.last_d_zeros = w.enc->zeros() - z0;
   w.last_d_transitions = w.enc->transitions() - t0;
   const double cost = block_cost(w, payload, w.last_results, w.last_d_zeros,

@@ -99,6 +99,10 @@ class ChunkSelector {
     /// Kernel variant handed to every candidate engine (null: registry
     /// default).
     const engine::KernelVariant* kernel = nullptr;
+    /// Whether encode_block must return the winner's per-burst results.
+    /// Off, the candidates encode stats only (unless the kBytes cost
+    /// model needs the masks) and BlockResult::results may be empty.
+    bool collect_results = true;
   };
 
   explicit ChunkSelector(const Config& cfg);
@@ -138,7 +142,7 @@ class ChunkSelector {
                         std::span<const std::uint8_t> payload,
                         std::size_t burst_count, std::vector<double>& costs);
   void compute_features(std::span<const std::uint8_t> payload,
-                        double features[4]) const;
+                        double features[4]);
   void commit(Candidate& c, std::size_t burst_count, double cost,
               std::int64_t d_zeros, std::int64_t d_transitions);
 
@@ -154,6 +158,11 @@ class ChunkSelector {
   std::vector<std::uint8_t> wire_;        // kBytes scratch
   std::vector<std::uint64_t> mask_words_;
   std::vector<std::uint8_t> rle_scratch_;
+  bool collect_results_ = true;  // candidates' encodes keep results
+  // Predicted mode: p * log2(p) per byte count, valid for blocks of
+  // entropy_terms_n_ bytes (see compute_features).
+  std::vector<double> entropy_terms_;
+  std::size_t entropy_terms_n_ = 0;
 
   std::int64_t blocks_ = 0;
   std::int64_t bursts_ = 0;

@@ -45,24 +45,45 @@ void ByteReader::expect_magic(const std::uint8_t (&magic)[4],
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: kCrcTables[0] is the classic byte table;
+/// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so
+/// eight table lookups advance the register over one 64-bit word.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1U) ? (0xEDB88320U ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      t[k][i] = t[0][t[k - 1][i] & 0xFFU] ^ (t[k - 1][i] >> 8);
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr auto kCrcTables = make_crc_tables();
 
 }  // namespace
 
 void Crc32::update(std::span<const std::uint8_t> bytes) {
+  const auto& t = kCrcTables;
   std::uint32_t c = state_;
-  for (const std::uint8_t b : bytes) c = kCrcTable[(c ^ b) & 0xFFU] ^ (c >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  // Eight bytes per step: the low four fold into the register, the
+  // high four enter through the zero-extended tables.
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo =
+        c ^ (static_cast<std::uint32_t>(p[0]) |
+             static_cast<std::uint32_t>(p[1]) << 8 |
+             static_cast<std::uint32_t>(p[2]) << 16 |
+             static_cast<std::uint32_t>(p[3]) << 24);
+    c = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^
+        t[5][(lo >> 16) & 0xFFU] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+        t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8);
   state_ = c;
 }
 

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,11 +64,12 @@ TEST(KernelRegistry, FindAndResolveByName) {
     EXPECT_EQ(engine::find_kernel(k->name()), k);
   EXPECT_EQ(engine::find_kernel("frobnicate"), nullptr);
   EXPECT_EQ(&engine::resolve_kernel("swar"), &engine::portable_kernel());
-  // "" and "auto" resolve to the hardware default: the first variant
-  // whose ISA the host reports.
+  // "" and "auto" resolve to the process default: the DBI_KERNEL
+  // override when set, else the first variant whose ISA the host
+  // reports (checked with the override cleared in EnvOverride... below).
   const KernelVariant& autok = engine::resolve_kernel("auto");
   EXPECT_EQ(&engine::resolve_kernel(""), &autok);
-  EXPECT_EQ(usable_variants().front(), &autok);
+  EXPECT_EQ(&engine::default_kernel(), &autok);
 }
 
 TEST(KernelRegistry, UnknownNameThrowsWithCandidates) {
@@ -82,16 +84,48 @@ TEST(KernelRegistry, UnknownNameThrowsWithCandidates) {
   }
 }
 
+/// Sets (or, with nullptr, clears) DBI_KERNEL for one scope and
+/// restores the value the process started with, so a forced-kernel run
+/// of the whole suite stays forced after the test.
+class ScopedKernelEnv {
+ public:
+  explicit ScopedKernelEnv(const char* value) {
+    if (const char* old = std::getenv("DBI_KERNEL")) saved_ = old;
+    set(value);
+  }
+  ~ScopedKernelEnv() { set(saved_ ? saved_->c_str() : nullptr); }
+  ScopedKernelEnv(const ScopedKernelEnv&) = delete;
+  ScopedKernelEnv& operator=(const ScopedKernelEnv&) = delete;
+
+  static void set(const char* value) {
+    if (value)
+      setenv("DBI_KERNEL", value, 1);
+    else
+      unsetenv("DBI_KERNEL");
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
 TEST(KernelRegistry, EnvOverrideForcesAndReleases) {
   // DBI_KERNEL is read per default_kernel() call, so a test can force
   // the portable reference (the SIMD force-off switch) and release it.
-  ASSERT_EQ(setenv("DBI_KERNEL", "swar", 1), 0);
+  // "auto" and "" follow the override.
+  ScopedKernelEnv env("swar");
   EXPECT_EQ(&engine::default_kernel(), &engine::portable_kernel());
-  ASSERT_EQ(setenv("DBI_KERNEL", "no-such-kernel", 1), 0);
+  EXPECT_EQ(&engine::resolve_kernel("auto"), &engine::portable_kernel());
+  EXPECT_EQ(&engine::resolve_kernel(""), &engine::portable_kernel());
+  ScopedKernelEnv::set("no-such-kernel");
   EXPECT_THROW(static_cast<void>(engine::default_kernel()),
                std::invalid_argument);
-  ASSERT_EQ(unsetenv("DBI_KERNEL"), 0);
+  EXPECT_THROW(static_cast<void>(engine::resolve_kernel("auto")),
+               std::invalid_argument);
+  ScopedKernelEnv::set("auto");
   EXPECT_EQ(&engine::default_kernel(), usable_variants().front());
+  ScopedKernelEnv::set(nullptr);
+  EXPECT_EQ(&engine::default_kernel(), usable_variants().front());
+  EXPECT_EQ(&engine::resolve_kernel("auto"), usable_variants().front());
 }
 
 TEST(KernelRegistry, AvailableKernelsMirrorsRegistry) {
@@ -342,6 +376,103 @@ TEST(KernelParity, Fixed8ResetAndStrideMatchSwarAndScalar) {
                   ASSERT_EQ(swar[i], expect) << ctx << " slot " << i;
                 }
               }
+}
+
+TEST(KernelParity, Fixed8LaneInterleaveMatchesSwarAndScalarPerLane) {
+  // encode_fixed8's lane interleave: burst i belongs to lane
+  // (first_lane + i) % lanes and threads (or, under reset, ends at)
+  // that lane's state, held group-minor at a state stride. Checked per
+  // lane against the scalar core encoder run over the lane's bursts
+  // alone, and against swar, for every lane count the vector loops
+  // take (1, 8) and two they do not (2, 3), every first lane, x8
+  // (stride 1) and the first / last group of x64 (stride 8), up to five
+  // 8-wide vector blocks plus each tail length, with and without
+  // results. Entry states are arbitrary (inconsistent DQ / DBI pairs
+  // included); state and result slots that belong to other groups hold
+  // sentinels that must survive.
+  constexpr std::pair<Scheme, engine::Fixed8Rule> kRules[] = {
+      {Scheme::kDc, engine::Fixed8Rule::kDc},
+      {Scheme::kAc, engine::Fixed8Rule::kAc},
+      {Scheme::kAcDc, engine::Fixed8Rule::kAcDc}};
+  const engine::BurstResult sentinel{~std::uint64_t{0}, BurstStats{-1, -1}};
+  const BusState state_sentinel{Beat{0x1234, false}};
+  const BusConfig cfg{8, 8};
+  const auto variants = usable_variants();
+  for (const auto& [scheme, rule] : kRules)
+    for (const bool reset : {false, true})
+      for (const int lanes : {1, 2, 3, 8})
+        for (int first = 0; first < lanes; ++first)
+          for (const auto& [stride, group] :
+               {std::pair{1, 0}, std::pair{8, 0}, std::pair{8, 7}})
+            for (std::size_t bursts = 0; bursts <= 40; ++bursts) {
+              const auto G = static_cast<std::size_t>(stride);
+              const auto bytes = random_bytes(
+                  bursts * 8 * G, 7000 + bursts * 31 + G +
+                                      static_cast<std::size_t>(lanes));
+              const std::uint8_t* slice = bytes.data() + group;
+              // Lane l's entry state sits at [l * G + group].
+              std::vector<BusState> entry(static_cast<std::size_t>(lanes) * G,
+                                          state_sentinel);
+              workload::Xoshiro256 rng(bursts * 97 + G +
+                                       static_cast<std::size_t>(first));
+              for (int l = 0; l < lanes; ++l)
+                entry[static_cast<std::size_t>(l) * G +
+                      static_cast<std::size_t>(group)] =
+                    BusState{Beat{static_cast<Word>(rng.next() & 0xFFU),
+                                  (rng.next() & 1U) != 0}};
+
+              // Scalar reference, one lane at a time.
+              std::vector<BusState> want_states = entry;
+              std::vector<engine::BurstResult> want(bursts * G, sentinel);
+              BurstStats want_totals;
+              const auto scalar = make_encoder(scheme);
+              std::vector<Word> words(8);
+              for (std::size_t i = 0; i < bursts; ++i) {
+                const std::size_t lane =
+                    (static_cast<std::size_t>(first) + i) %
+                    static_cast<std::size_t>(lanes);
+                BusState& st = want_states[lane * G +
+                                           static_cast<std::size_t>(group)];
+                if (reset) st = BusState::all_ones(cfg);
+                for (std::size_t t = 0; t < 8; ++t)
+                  words[t] = slice[(i * 8 + t) * G];
+                const EncodedBurst e = scalar->encode(Burst(cfg, words), st);
+                want[i * G] = {e.inversion_mask(), e.stats(st)};
+                want_totals += want[i * G].stats;
+                st = e.final_state();
+              }
+
+              const auto run = [&](const KernelVariant& k,
+                                   std::vector<BusState>& states,
+                                   std::vector<engine::BurstResult>* results) {
+                const engine::LaneStates ls(
+                    std::span<BusState>(states).subspan(
+                        static_cast<std::size_t>(group)),
+                    lanes, first, G);
+                return k.encode_fixed8(rule, slice, bursts, 8, stride, reset,
+                                       ls, results ? results->data() : nullptr,
+                                       G);
+              };
+              for (const KernelVariant* k : variants) {
+                const std::string ctx =
+                    std::string(k->name()) + " " +
+                    std::string(scheme_name(scheme)) +
+                    (reset ? " reset" : " threaded") + " lanes " +
+                    std::to_string(lanes) + " first " + std::to_string(first) +
+                    " stride " + std::to_string(stride) + " group " +
+                    std::to_string(group) + " bursts " +
+                    std::to_string(bursts);
+                std::vector<BusState> states = entry;
+                std::vector<engine::BurstResult> got(bursts * G, sentinel);
+                ASSERT_EQ(run(*k, states, &got), want_totals) << ctx;
+                ASSERT_EQ(states, want_states) << ctx;
+                for (std::size_t i = 0; i < got.size(); ++i)
+                  ASSERT_EQ(got[i], want[i]) << ctx << " slot " << i;
+                std::vector<BusState> quiet = entry;
+                ASSERT_EQ(run(*k, quiet, nullptr), want_totals) << ctx;
+                ASSERT_EQ(quiet, want_states) << ctx;
+              }
+            }
 }
 
 // ------------------------------------------------ per-burst trellis
@@ -630,6 +761,106 @@ TEST(KernelParity, StreamEncoderMatchesScalarAcrossLanesAndPolicies) {
                 expect_stream_parity(*v, s, wide, lanes, reset, collect, p);
 }
 
+/// StreamEncoder at 8 lanes over a stream whose first chunk starts at
+/// burst 13 (so lane 0 is not the first lane), chunk sizes that are not
+/// multiples of 8, serial and on a pool, against the scalar core
+/// encoders unit by unit. Width 60 mixes both routes in one chunk: the
+/// 7 full byte groups interleave their lanes in place, the 4-line
+/// remainder group is gathered lane by lane.
+void expect_stream_lanes8_parity(const KernelVariant& variant, Scheme scheme,
+                                 int width, bool reset, bool collect,
+                                 engine::ShardPool* pool) {
+  constexpr int kLanes = 8;
+  constexpr std::int64_t kStart = 13;
+  const bool wide = width != 8;
+  const dbi::WideBusConfig wcfg{width, 8};
+  const BusConfig ncfg{8, 8};
+  const int groups = wide ? wcfg.groups() : 1;
+  const auto G = static_cast<std::size_t>(groups);
+  const auto bb = static_cast<std::size_t>(wide ? wcfg.bytes_per_burst()
+                                                : ncfg.bytes_per_burst());
+  const std::size_t chunks[] = {13, 29, 3, 77, 150};
+  std::size_t total = 0;
+  for (const std::size_t c : chunks) total += c;
+  auto bytes = random_bytes(total * bb, 900 + static_cast<std::size_t>(width));
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    if (wide) bytes[i] &= static_cast<std::uint8_t>(wcfg.group_mask(
+                  static_cast<int>(i % G)));
+
+  engine::BatchEncoder enc(scheme);
+  enc.set_kernel(variant);
+  engine::StreamEncodeOptions opt;
+  opt.lanes = kLanes;
+  opt.reset_state_per_burst = reset;
+  opt.pool = pool;
+  std::vector<BusState> states(kLanes * G);
+  auto stream =
+      wide ? std::make_unique<engine::StreamEncoder>(enc, wcfg, opt, states)
+           : std::make_unique<engine::StreamEncoder>(enc, ncfg, opt, states);
+  stream->reset();
+
+  // Scalar reference: stream burst kStart + j belongs to lane
+  // (kStart + j) % 8; each (lane, group) unit threads its own state.
+  const auto scalar = make_encoder(scheme);
+  std::vector<BusState> want_states(kLanes * G);
+  for (std::size_t u = 0; u < want_states.size(); ++u)
+    want_states[u] = BusState::all_ones(
+        wide ? wcfg.group_config(static_cast<int>(u % G)) : ncfg);
+  std::vector<engine::BurstResult> want(total * G);
+  BurstStats want_totals;
+  std::vector<Word> words(8);
+  for (std::size_t j = 0; j < total; ++j)
+    for (std::size_t g = 0; g < G; ++g) {
+      const BusConfig gcfg =
+          wide ? wcfg.group_config(static_cast<int>(g)) : ncfg;
+      BusState& st =
+          want_states[((static_cast<std::size_t>(kStart) + j) % kLanes) * G +
+                      g];
+      if (reset) st = BusState::all_ones(gcfg);
+      for (std::size_t t = 0; t < 8; ++t) words[t] = bytes[j * bb + t * G + g];
+      const EncodedBurst e = scalar->encode(Burst(gcfg, words), st);
+      want[j * G + g] = {e.inversion_mask(), e.stats(st)};
+      want_totals += want[j * G + g].stats;
+      st = e.final_state();
+    }
+
+  const std::string ctx = std::string(variant.name()) + " " +
+                          std::string(scheme_name(scheme)) + " width " +
+                          std::to_string(width) +
+                          (reset ? " reset" : " threaded") +
+                          (collect ? " results" : " stats") +
+                          (pool ? " pool" : " serial");
+  std::size_t done = 0;
+  for (const std::size_t c : chunks) {
+    const auto got = stream->encode_chunk(
+        kStart + static_cast<std::int64_t>(done),
+        std::span<const std::uint8_t>(bytes).subspan(done * bb, c * bb), c,
+        collect);
+    ASSERT_EQ(got.size(), collect ? c * G : 0) << ctx;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], want[done * G + i])
+          << ctx << " chunk at " << done << " slot " << i;
+    done += c;
+  }
+  EXPECT_EQ(stream->zeros(), want_totals.zeros) << ctx;
+  EXPECT_EQ(stream->transitions(), want_totals.transitions) << ctx;
+  for (std::size_t u = 0; u < states.size(); ++u)
+    ASSERT_EQ(states[u], want_states[u]) << ctx << " unit " << u;
+}
+
+TEST(KernelParity, StreamEncoderEightLanesFromMidStreamSerialAndPooled) {
+  engine::ShardPool pool(3);
+  for (const KernelVariant* v : usable_variants())
+    for (const Scheme s :
+         {Scheme::kRaw, Scheme::kDc, Scheme::kAc, Scheme::kAcDc})
+      for (const int width : {8, 64, 60})
+        for (const bool reset : {false, true})
+          for (const bool collect : {false, true})
+            for (engine::ShardPool* p :
+                 {static_cast<engine::ShardPool*>(nullptr), &pool})
+              expect_stream_lanes8_parity(*v, s, width, reset, collect, p);
+}
+
 // ------------------------------------------------------- decode parity
 
 TEST(KernelParity, NarrowDecodeAllVariantsMatchesPortableAndRoundTrips) {
@@ -787,6 +1018,24 @@ TEST(KernelSession, SpecPinsVariantAndReportNamesIt) {
     const bool enc8 = v->supports_fixed8(engine::Fixed8Rule::kAcDc, 8);
     EXPECT_EQ(rep.fixed_encode, enc8 ? v->name() : "swar");
     EXPECT_EQ(rep.planar_encode, "n/a");
+  }
+}
+
+TEST(KernelSession, EnvOverrideReachesSession) {
+  // An unpinned spec ("" / "auto") runs the DBI_KERNEL variant, so the
+  // forced-kernel CI legs exercise Session, the selector, the lake and
+  // dbid as well as the raw engine.
+  ScopedKernelEnv env("swar");
+  for (const char* pin : {"", "auto"}) {
+    SessionSpec spec;
+    spec.policy = Scheme::kAc;
+    spec.geometry = Geometry::narrow(8, 8);
+    spec.lanes = 8;
+    spec.kernel = pin;
+    const Session session(spec);
+    EXPECT_EQ(session.report().kernel.variant, "swar") << "pin '" << pin
+                                                       << "'";
+    EXPECT_EQ(session.report().kernel.fixed_encode, "swar");
   }
 }
 

@@ -116,6 +116,36 @@ std::vector<std::uint8_t> record_mixed_trace(
   return {s.begin(), s.end()};
 }
 
+/// The selection report JSON and run totals of one seeded, threaded,
+/// predicted-mode session: "mixed" at x8 or "float-tensor" at x64.
+std::string predicted_fingerprint(bool wide, int lanes, CostModel model) {
+  std::vector<std::uint8_t> payload;
+  SessionSpec spec;
+  if (wide) {
+    const WideBusConfig cfg{64, 8};
+    payload.resize(static_cast<std::size_t>(cfg.bytes_per_burst()) * 600);
+    workload::fill_wide_corpus("float-tensor", cfg, 23, payload);
+    spec.geometry = Geometry::of(cfg);
+  } else {
+    payload = corpus_packed("mixed", 3000, 19);
+    spec.geometry = Geometry::narrow(8, 8);
+  }
+  auto policy = SchemePolicy::adaptive_predicted(
+      {Scheme::kDc, Scheme::kAc, Scheme::kAcDc}, model,
+      /*probe_interval=*/3);
+  policy.set_block_bursts(wide ? 40 : 100);
+  spec.policy = policy;
+  spec.lanes = lanes;
+  spec.state_policy = StatePolicy::kThread;
+  Session session(spec);
+  const auto source = make_packed_source(payload);
+  const StreamStats totals = session.run(*source);
+  return session.report().selection.to_json() +
+         " bursts=" + std::to_string(totals.bursts) +
+         " zeros=" + std::to_string(totals.zeros) +
+         " transitions=" + std::to_string(totals.transitions);
+}
+
 // ------------------------------------------------- SchemePolicy API
 
 TEST(SchemePolicy, DefaultFollowsSchemeSlot) {
@@ -438,6 +468,180 @@ TEST(AdaptivePredicted, DeterministicAcrossRuns) {
   EXPECT_GE(r1.accuracy(), 0.0);
   EXPECT_LE(r1.accuracy(), 1.0);
   EXPECT_EQ(r1.to_json(), r2.to_json());
+}
+
+TEST(AdaptivePredicted, ReportsPinnedAcrossGeometriesLanesAndCostModels) {
+  // Pinned outputs: the predicted model's features (histogram, zero
+  // mass, toggle density, entropy) and the engine paths under it must
+  // keep every selection, cost and total bit-identical.
+  struct Case {
+    bool wide;
+    int lanes;
+    CostModel model;
+    const char* expected;
+  };
+  const Case cases[] = {
+      {false, 1, CostModel::kTransitions,
+       R"({"mode":"adaptive-predicted","cost_model":"transitions",)"
+       R"("blocks":30,"bursts":3000,"selected_cost":59986,)"
+       R"("best_trial_cost":19525,)"
+       R"("cost_ratio_vs_best_fixed":0.3254926149434868,"probes":9,)"
+       R"("probe_hits":9,"accuracy":1,"candidates":[{"scheme":"dc",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":10,)"
+       R"("trial_cost":26089,"chosen_cost":0},{"scheme":"ac",)"
+       R"("blocks_chosen":30,"bursts_chosen":3000,"trial_blocks":10,)"
+       R"("trial_cost":19525,"chosen_cost":59986},{"scheme":"acdc",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":10,)"
+       R"("trial_cost":20813,)"
+       R"("chosen_cost":0}]} bursts=3000 zeros=108144 transitions=59986)"},
+      {false, 1, CostModel::kEnergy,
+       R"({"mode":"adaptive-predicted","cost_model":"energy",)"
+       R"("blocks":30,"bursts":3000,"selected_cost":145241,)"
+       R"("best_trial_cost":47804,)"
+       R"("cost_ratio_vs_best_fixed":0.32913571236771988,"probes":9,)"
+       R"("probe_hits":7,"accuracy":0.77777777777777779,)"
+       R"("candidates":[{"scheme":"dc","blocks_chosen":22,)"
+       R"("bursts_chosen":2200,"trial_blocks":10,"trial_cost":47804,)"
+       R"("chosen_cost":99279},{"scheme":"ac","blocks_chosen":7,)"
+       R"("bursts_chosen":700,"trial_blocks":10,"trial_cost":53886,)"
+       R"("chosen_cost":40289},{"scheme":"acdc","blocks_chosen":1,)"
+       R"("bursts_chosen":100,"trial_blocks":10,"trial_cost":49275,)"
+       R"("chosen_cost":5673}]} bursts=3000 zeros=73894 transitions=71347)"},
+      {false, 1, CostModel::kBytes,
+       R"({"mode":"adaptive-predicted","cost_model":"bytes",)"
+       R"("blocks":30,"bursts":3000,"selected_cost":29377,)"
+       R"("best_trial_cost":10018,)"
+       R"("cost_ratio_vs_best_fixed":0.34101507982435236,"probes":9,)"
+       R"("probe_hits":4,"accuracy":0.44444444444444442,)"
+       R"("candidates":[{"scheme":"dc","blocks_chosen":7,)"
+       R"("bursts_chosen":700,"trial_blocks":10,"trial_cost":11001,)"
+       R"("chosen_cost":7651},{"scheme":"ac","blocks_chosen":12,)"
+       R"("bursts_chosen":1200,"trial_blocks":10,"trial_cost":10018,)"
+       R"("chosen_cost":10477},{"scheme":"acdc","blocks_chosen":11,)"
+       R"("bursts_chosen":1100,"trial_blocks":10,"trial_cost":10652,)"
+       R"("chosen_cost":11249}]} bursts=3000 zeros=100321 transitions=66737)"},
+      {false, 8, CostModel::kTransitions,
+       R"({"mode":"adaptive-predicted","cost_model":"transitions",)"
+       R"("blocks":30,"bursts":3000,"selected_cost":59925,)"
+       R"("best_trial_cost":19522,)"
+       R"("cost_ratio_vs_best_fixed":0.32577388402169377,"probes":9,)"
+       R"("probe_hits":9,"accuracy":1,"candidates":[{"scheme":"dc",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":10,)"
+       R"("trial_cost":26112,"chosen_cost":0},{"scheme":"ac",)"
+       R"("blocks_chosen":30,"bursts_chosen":3000,"trial_blocks":10,)"
+       R"("trial_cost":19522,"chosen_cost":59925},{"scheme":"acdc",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":10,)"
+       R"("trial_cost":20815,)"
+       R"("chosen_cost":0}]} bursts=3000 zeros=106080 transitions=59925)"},
+      {false, 8, CostModel::kEnergy,
+       R"({"mode":"adaptive-predicted","cost_model":"energy",)"
+       R"("blocks":30,"bursts":3000,"selected_cost":145389,)"
+       R"("best_trial_cost":47768,)"
+       R"("cost_ratio_vs_best_fixed":0.32855305422005793,"probes":9,)"
+       R"("probe_hits":7,"accuracy":0.77777777777777779,)"
+       R"("candidates":[{"scheme":"dc","blocks_chosen":22,)"
+       R"("bursts_chosen":2200,"trial_blocks":10,"trial_cost":47768,)"
+       R"("chosen_cost":99164},{"scheme":"ac","blocks_chosen":5,)"
+       R"("bursts_chosen":500,"trial_blocks":10,"trial_cost":51423,)"
+       R"("chosen_cost":29081},{"scheme":"acdc","blocks_chosen":3,)"
+       R"("bursts_chosen":300,"trial_blocks":10,"trial_cost":49218,)"
+       R"("chosen_cost":17144}]} bursts=3000 zeros=73852 transitions=71537)"},
+      {false, 8, CostModel::kBytes,
+       R"({"mode":"adaptive-predicted","cost_model":"bytes",)"
+       R"("blocks":30,"bursts":3000,"selected_cost":30058,)"
+       R"("best_trial_cost":10041,)"
+       R"("cost_ratio_vs_best_fixed":0.33405416195355647,"probes":9,)"
+       R"("probe_hits":2,"accuracy":0.22222222222222221,)"
+       R"("candidates":[{"scheme":"dc","blocks_chosen":7,)"
+       R"("bursts_chosen":700,"trial_blocks":10,"trial_cost":11001,)"
+       R"("chosen_cost":7651},{"scheme":"ac","blocks_chosen":14,)"
+       R"("bursts_chosen":1400,"trial_blocks":10,"trial_cost":10041,)"
+       R"("chosen_cost":13173},{"scheme":"acdc","blocks_chosen":9,)"
+       R"("bursts_chosen":900,"trial_blocks":10,"trial_cost":10652,)"
+       R"("chosen_cost":9234}]} bursts=3000 zeros=96647 transitions=66165)"},
+      {true, 1, CostModel::kTransitions,
+       R"({"mode":"adaptive-predicted","cost_model":"transitions",)"
+       R"("blocks":15,"bursts":600,"selected_cost":107454,)"
+       R"("best_trial_cost":35772,)"
+       R"("cost_ratio_vs_best_fixed":0.3329052431738232,"probes":4,)"
+       R"("probe_hits":4,"accuracy":1,"candidates":[{"scheme":"dc",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":5,)"
+       R"("trial_cost":44460,"chosen_cost":0},{"scheme":"ac",)"
+       R"("blocks_chosen":15,"bursts_chosen":600,"trial_blocks":5,)"
+       R"("trial_cost":35772,"chosen_cost":107454},{"scheme":"acdc",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":5,)"
+       R"("trial_cost":37258,)"
+       R"("chosen_cost":0}]} bursts=600 zeros=157038 transitions=107454)"},
+      {true, 1, CostModel::kEnergy,
+       R"({"mode":"adaptive-predicted","cost_model":"energy",)"
+       R"("blocks":15,"bursts":600,"selected_cost":256068,)"
+       R"("best_trial_cost":85061,)"
+       R"("cost_ratio_vs_best_fixed":0.33218129559335802,"probes":4,)"
+       R"("probe_hits":4,"accuracy":1,"candidates":[{"scheme":"dc",)"
+       R"("blocks_chosen":15,"bursts_chosen":600,"trial_blocks":5,)"
+       R"("trial_cost":85061,"chosen_cost":256068},{"scheme":"ac",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":5,)"
+       R"("trial_cost":88169,"chosen_cost":0},{"scheme":"acdc",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":5,)"
+       R"("trial_cost":87642,)"
+       R"("chosen_cost":0}]} bursts=600 zeros=122246 transitions=133822)"},
+      {true, 1, CostModel::kBytes,
+       R"({"mode":"adaptive-predicted","cost_model":"bytes",)"
+       R"("blocks":15,"bursts":600,"selected_cost":49198,)"
+       R"("best_trial_cost":16404,)"
+       R"("cost_ratio_vs_best_fixed":0.33342818813772918,"probes":4,)"
+       R"("probe_hits":1,"accuracy":0.25,"candidates":[{"scheme":"dc",)"
+       R"("blocks_chosen":7,"bursts_chosen":280,"trial_blocks":5,)"
+       R"("trial_cost":16413,"chosen_cost":22972},{"scheme":"ac",)"
+       R"("blocks_chosen":1,"bursts_chosen":40,"trial_blocks":5,)"
+       R"("trial_cost":16419,"chosen_cost":3273},{"scheme":"acdc",)"
+       R"("blocks_chosen":7,"bursts_chosen":280,"trial_blocks":5,)"
+       R"("trial_cost":16404,)"
+       R"("chosen_cost":22953}]} bursts=600 zeros=138269 transitions=121717)"},
+      {true, 8, CostModel::kTransitions,
+       R"({"mode":"adaptive-predicted","cost_model":"transitions",)"
+       R"("blocks":15,"bursts":600,"selected_cost":107478,)"
+       R"("best_trial_cost":35776,)"
+       R"("cost_ratio_vs_best_fixed":0.3328681218481922,"probes":4,)"
+       R"("probe_hits":4,"accuracy":1,"candidates":[{"scheme":"dc",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":5,)"
+       R"("trial_cost":44475,"chosen_cost":0},{"scheme":"ac",)"
+       R"("blocks_chosen":15,"bursts_chosen":600,"trial_blocks":5,)"
+       R"("trial_cost":35776,"chosen_cost":107478},{"scheme":"acdc",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":5,)"
+       R"("trial_cost":37309,)"
+       R"("chosen_cost":0}]} bursts=600 zeros=157116 transitions=107478)"},
+      {true, 8, CostModel::kEnergy,
+       R"({"mode":"adaptive-predicted","cost_model":"energy",)"
+       R"("blocks":15,"bursts":600,"selected_cost":255917,)"
+       R"("best_trial_cost":85015,)"
+       R"("cost_ratio_vs_best_fixed":0.33219754842390309,"probes":4,)"
+       R"("probe_hits":4,"accuracy":1,"candidates":[{"scheme":"dc",)"
+       R"("blocks_chosen":15,"bursts_chosen":600,"trial_blocks":5,)"
+       R"("trial_cost":85015,"chosen_cost":255917},{"scheme":"ac",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":5,)"
+       R"("trial_cost":88245,"chosen_cost":0},{"scheme":"acdc",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":5,)"
+       R"("trial_cost":87632,)"
+       R"("chosen_cost":0}]} bursts=600 zeros=122246 transitions=133671)"},
+      {true, 8, CostModel::kBytes,
+       R"({"mode":"adaptive-predicted","cost_model":"bytes",)"
+       R"("blocks":15,"bursts":600,"selected_cost":49198,)"
+       R"("best_trial_cost":16404,)"
+       R"("cost_ratio_vs_best_fixed":0.33342818813772918,"probes":4,)"
+       R"("probe_hits":2,"accuracy":0.5,"candidates":[{"scheme":"dc",)"
+       R"("blocks_chosen":7,"bursts_chosen":280,"trial_blocks":5,)"
+       R"("trial_cost":16413,"chosen_cost":22972},{"scheme":"ac",)"
+       R"("blocks_chosen":0,"bursts_chosen":0,"trial_blocks":5,)"
+       R"("trial_cost":16431,"chosen_cost":0},{"scheme":"acdc",)"
+       R"("blocks_chosen":8,"bursts_chosen":320,"trial_blocks":5,)"
+       R"("trial_cost":16404,)"
+       R"("chosen_cost":26226}]} bursts=600 zeros=137925 transitions=122152)"},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(predicted_fingerprint(c.wide, c.lanes, c.model), c.expected)
+        << (c.wide ? "x64" : "x8") << " lanes " << c.lanes << " "
+        << cost_model_name(c.model);
 }
 
 TEST(AdaptivePredicted, MixedTraceDecodesAndVerifies) {

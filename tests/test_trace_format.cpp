@@ -406,6 +406,54 @@ TEST(TraceFormat, RleRoundTripsArbitraryBytes) {
   EXPECT_EQ(out, in);
 }
 
+TEST(TraceFormat, Crc32KnownAnswers) {
+  EXPECT_EQ(crc32({}), 0U);
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(std::span(reinterpret_cast<const std::uint8_t*>(
+                                check.data()),
+                            check.size())),
+            0xCBF43926U);
+}
+
+TEST(TraceFormat, Crc32MatchesByteTableReference) {
+  // The one-byte-per-step table loop the slicing-by-8 update replaces.
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1U) ? (0xEDB88320U ^ (c >> 1)) : (c >> 1);
+    table[i] = c;
+  }
+  const auto reference = [&table](std::span<const std::uint8_t> bytes) {
+    std::uint32_t c = 0xFFFFFFFFU;
+    for (const std::uint8_t b : bytes) c = table[(c ^ b) & 0xFFU] ^ (c >> 8);
+    return ~c;
+  };
+
+  std::vector<std::uint8_t> buf(4097 + 8);
+  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (std::uint8_t& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; offset += 3) {
+    for (std::size_t len = 0; len <= 4097; ++len) {
+      const std::span<const std::uint8_t> s(buf.data() + offset, len);
+      const std::uint32_t want = reference(s);
+      ASSERT_EQ(crc32(s), want) << "offset " << offset << " len " << len;
+      // Split updates: the register carries across calls of any size.
+      const std::size_t cut = (len * 5) / 7;
+      Crc32 split;
+      split.update(s.first(cut));
+      split.update(s.subspan(cut, (len - cut) / 2));
+      split.update(s.subspan(cut + (len - cut) / 2));
+      ASSERT_EQ(split.value(), want) << "offset " << offset << " len " << len;
+    }
+  }
+}
+
 TEST(TraceFormat, TextBinaryConversionIsLossless) {
   const auto trace = random_trace(BusConfig{8, 8}, 128, 41);
   std::ostringstream text1;

@@ -55,9 +55,10 @@ FACADE_FLOOR = 0.98
 # (>= 1.5x), and no variant the registry would auto-select may be
 # slower than the portable reference on any path it serves (>= 1x) —
 # the decode paths, the per-burst-reset x8 AC encode with results
-# ("reset") and the per-burst-reset OPT-Fixed + OPT trellis with
-# results ("trellis_reset", null for variants that do not serve it)
-# included.
+# ("reset"), the per-burst-reset OPT-Fixed + OPT trellis with
+# results ("trellis_reset", null for variants that do not serve it) and
+# the threaded x8 AC encode over 8 interleaved lanes ("lanes8", null
+# for variants whose vector loops do not take 8 lanes) included.
 # Variants whose ISA the bench machine lacks are reported as
 # skipped-isa, never failed.
 KERNEL_ENCODE_FLOOR = 1.5
@@ -116,7 +117,8 @@ def extract_metrics(name: str, doc: dict) -> dict[str, float]:
             if row["kernel"] == "swar" or not row["available"]:
                 continue  # the reference itself / ISA absent on this host
             for path in ("encode_x8", "encode_wide_x64", "decode_x8",
-                         "decode_wide_x64", "reset", "trellis_reset"):
+                         "decode_wide_x64", "reset", "trellis_reset",
+                         "lanes8"):
                 value = row.get(f"{path}_vs_swar")
                 if value is None:
                     continue  # path outside the variant's envelope
