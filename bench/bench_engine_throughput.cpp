@@ -34,7 +34,7 @@
 #include "select/scheme_policy.hpp"
 #include "workload/corpus.hpp"
 #include "workload/generators.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -45,7 +45,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Every byte group of a packed wide stream through encode_packed_group,
+/// Every byte group of a packed wide stream through encode_packed,
 /// in group order, threading states[g]: the kernel calls a single-lane
 /// wide Session makes. Burst i's group g lands in
 /// results[i * groups + g] when `results` is non-null.
@@ -56,7 +56,7 @@ BurstStats encode_groups(const engine::BatchEncoder& enc,
   const int groups = cfg.groups();
   BurstStats totals;
   for (int g = 0; g < groups; ++g)
-    totals += enc.encode_packed_group(
+    totals += enc.encode_packed(
         bytes, cfg, g, states[static_cast<std::size_t>(g)],
         results ? results + g : nullptr, static_cast<std::size_t>(groups));
   return totals;
@@ -107,8 +107,8 @@ SchemeReport run_scheme(Scheme scheme, const CostWeights& w,
   // chunk and Session's chunk loop encodes it with the packed kernels).
   {
     SessionSpec spec;
-    spec.scheme = scheme;
-    spec.geometry = Geometry::of(cfg);
+    spec.policy = scheme;
+    spec.geometry = cfg;
     spec.weights = w;
     Session session(spec);
     std::int64_t sink = 0;
@@ -129,8 +129,8 @@ SchemeReport run_scheme(Scheme scheme, const CostWeights& w,
   // (burst g -> lane g % L, each lane threading its own state).
   {
     SessionSpec spec;
-    spec.scheme = scheme;
-    spec.geometry = Geometry::of(cfg);
+    spec.policy = scheme;
+    spec.geometry = cfg;
     spec.lanes = static_cast<int>(lanes.size());
     spec.weights = w;
     spec.pool = &pool;
@@ -168,7 +168,7 @@ WideReport run_wide(Scheme scheme, const CostWeights& w, int width,
   std::vector<std::uint8_t> bytes(
       static_cast<std::size_t>(bursts) *
       static_cast<std::size_t>(cfg.bytes_per_burst()));
-  workload::Xoshiro256 rng(7 + static_cast<std::uint64_t>(width));
+  util::Xoshiro256 rng(7 + static_cast<std::uint64_t>(width));
   for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next());
 
   // (a) per-group scalar loop: materialised group Bursts through the
@@ -209,7 +209,7 @@ WideReport run_wide(Scheme scheme, const CostWeights& w, int width,
   }
 
   SessionSpec spec;
-  spec.scheme = scheme;
+  spec.policy = scheme;
   spec.geometry = Geometry::wide(width, 8);
   spec.weights = w;
 
@@ -267,7 +267,7 @@ DecodeReport run_decode_narrow(Scheme scheme, int bursts, int repeats) {
   const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
 
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(bursts) * bb);
-  workload::Xoshiro256 rng(21);
+  util::Xoshiro256 rng(21);
   for (std::uint8_t& b : payload) b = static_cast<std::uint8_t>(rng.next());
 
   // Untimed: encode the stream and materialise the wire bytes.
@@ -276,7 +276,7 @@ DecodeReport run_decode_narrow(Scheme scheme, int bursts, int repeats) {
   std::vector<engine::BurstResult> results(
       static_cast<std::size_t>(bursts));
   BusState state = BusState::all_ones(cfg);
-  (void)engine.encode_packed(payload, cfg, state, results.data());
+  (void)engine.encode_packed(payload, cfg, 0, state, results.data());
   std::vector<std::uint64_t> masks(static_cast<std::size_t>(bursts));
   for (int i = 0; i < bursts; ++i)
     masks[static_cast<std::size_t>(i)] =
@@ -335,7 +335,7 @@ DecodeReport run_decode_wide(Scheme scheme, int bursts, int repeats) {
   const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
 
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(bursts) * bb);
-  workload::Xoshiro256 rng(23);
+  util::Xoshiro256 rng(23);
   for (std::uint8_t& b : payload) b = static_cast<std::uint8_t>(rng.next());
 
   const engine::BatchEncoder engine(scheme);
@@ -352,7 +352,7 @@ DecodeReport run_decode_wide(Scheme scheme, int bursts, int repeats) {
     masks[i] = results[i].invert_mask;
   const engine::BatchDecoder decoder;
   std::vector<std::uint8_t> tx(payload.size());
-  decoder.apply_packed_wide(payload, masks, cfg, tx);
+  decoder.apply_packed(payload, masks, cfg, tx);
 
   // (a) scalar receive path: one EncodedBurst per (burst, group).
   {
@@ -389,7 +389,7 @@ DecodeReport run_decode_wide(Scheme scheme, int bursts, int repeats) {
     std::int64_t sink = 0;
     const auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < repeats; ++r) {
-      decoder.decode_packed_wide(tx, masks, cfg, out);
+      decoder.decode_packed(tx, masks, cfg, out);
       sink += out[0];
     }
     const double dt = seconds_since(t0);
@@ -452,7 +452,7 @@ struct KernelWorkload {
                               narrow_cfg.bytes_per_burst()));
     wide_payload.resize(static_cast<std::size_t>(bursts) *
                         static_cast<std::size_t>(wide_cfg.bytes_per_burst()));
-    workload::Xoshiro256 rng(31);
+    util::Xoshiro256 rng(31);
     for (std::uint8_t& b : narrow_payload)
       b = static_cast<std::uint8_t>(rng.next());
     for (std::uint8_t& b : wide_payload)
@@ -463,7 +463,7 @@ struct KernelWorkload {
     const engine::BatchEncoder enc(Scheme::kAcDc);
     std::vector<engine::BurstResult> results(static_cast<std::size_t>(bursts));
     BusState state = BusState::all_ones(narrow_cfg);
-    (void)enc.encode_packed(narrow_payload, narrow_cfg, state, results.data());
+    (void)enc.encode_packed(narrow_payload, narrow_cfg, 0, state, results.data());
     for (const auto& r : results) narrow_masks.push_back(r.invert_mask);
     std::vector<engine::BurstResult> wide_results(
         static_cast<std::size_t>(bursts) *
@@ -479,7 +479,7 @@ struct KernelWorkload {
     narrow_tx.resize(narrow_payload.size());
     dec.apply_packed(narrow_payload, narrow_masks, narrow_cfg, narrow_tx);
     wide_tx.resize(wide_payload.size());
-    dec.apply_packed_wide(wide_payload, wide_masks, wide_cfg, wide_tx);
+    dec.apply_packed(wide_payload, wide_masks, wide_cfg, wide_tx);
   }
 };
 
@@ -515,7 +515,7 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
       for (int r = 0; r < repeats; ++r) {
         BusState state = BusState::all_ones(wl.narrow_cfg);
         const BurstStats s =
-            enc.encode_packed(wl.narrow_payload, wl.narrow_cfg, state);
+            enc.encode_packed(wl.narrow_payload, wl.narrow_cfg, 0, state);
         sink += s.zeros + s.transitions;
       }
       const double dt = seconds_since(t0);
@@ -557,7 +557,7 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
       std::int64_t sink = 0;
       const auto t0 = std::chrono::steady_clock::now();
       for (int r = 0; r < repeats; ++r) {
-        dec.decode_packed_wide(wl.wide_tx, wl.wide_masks, wl.wide_cfg, out);
+        dec.decode_packed(wl.wide_tx, wl.wide_masks, wl.wide_cfg, out);
         sink += out[0];
       }
       const double dt = seconds_since(t0);
@@ -571,7 +571,7 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
       for (int r = 0; r < repeats; ++r) {
         BusState state = BusState::all_ones(wl.narrow_cfg);
         const BurstStats s =
-            ac.encode_packed(wl.narrow_payload, wl.narrow_cfg, state,
+            ac.encode_packed(wl.narrow_payload, wl.narrow_cfg, 0, state,
                              results.data(), 1, /*reset_per_burst=*/true);
         sink += s.zeros + s.transitions +
                 static_cast<std::int64_t>(results.back().invert_mask);
@@ -587,7 +587,7 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
         for (const engine::BatchEncoder* e : {&opt_fixed, &opt}) {
           BusState state = BusState::all_ones(wl.narrow_cfg);
           const BurstStats s =
-              e->encode_packed(wl.narrow_payload, wl.narrow_cfg, state,
+              e->encode_packed(wl.narrow_payload, wl.narrow_cfg, 0, state,
                                results.data(), 1, /*reset_per_burst=*/true);
           sink += s.zeros + s.transitions +
                   static_cast<std::int64_t>(results.back().invert_mask);
@@ -638,7 +638,7 @@ SelectReport run_select(const std::string& label, const SchemePolicy& policy,
   rep.label = label;
   SessionSpec spec;
   spec.policy = policy;
-  spec.geometry = Geometry::of(BusConfig{8, 8});
+  spec.geometry = BusConfig{8, 8};
   spec.state_policy = StatePolicy::kResetPerBurst;
   Session session(spec);
   const double total =
@@ -683,8 +683,8 @@ FacadeReport facade_narrow(const std::vector<Burst>& lane, int repeats) {
       bytes.push_back(static_cast<std::uint8_t>(b.word(t)));
   const engine::BatchEncoder batch(Scheme::kAc);
   SessionSpec spec;
-  spec.scheme = Scheme::kAc;
-  spec.geometry = Geometry::of(cfg);
+  spec.policy = Scheme::kAc;
+  spec.geometry = cfg;
   Session session(spec);
 
   // Alternating best-of-5 trials: a 2% gate needs the noise floor well
@@ -695,7 +695,7 @@ FacadeReport facade_narrow(const std::vector<Burst>& lane, int repeats) {
       const auto t0 = std::chrono::steady_clock::now();
       for (int r = 0; r < repeats; ++r) {
         BusState state = BusState::all_ones(cfg);
-        const BurstStats s = batch.encode_packed(bytes, cfg, state);
+        const BurstStats s = batch.encode_packed(bytes, cfg, 0, state);
         sink += s.zeros + s.transitions;
       }
       const double dt = seconds_since(t0);
@@ -729,7 +729,7 @@ FacadeReport facade_wide(std::span<const std::uint8_t> bytes, int width,
   const double total = bursts * repeats;
   const engine::BatchEncoder batch(Scheme::kAc);
   SessionSpec spec;
-  spec.scheme = Scheme::kAc;
+  spec.policy = Scheme::kAc;
   spec.geometry = Geometry::wide(width, 8);
   Session session(spec);
 
@@ -1059,7 +1059,7 @@ int main(int argc, char** argv) {
     std::vector<std::uint8_t> wide_bytes(
         static_cast<std::size_t>(bursts_per_lane) *
         static_cast<std::size_t>(WideBusConfig{64, 8}.bytes_per_burst()));
-    workload::Xoshiro256 rng(11);
+    util::Xoshiro256 rng(11);
     for (std::uint8_t& b : wide_bytes)
       b = static_cast<std::uint8_t>(rng.next());
     const int narrow_repeats = static_cast<int>(

@@ -90,7 +90,7 @@ BENCHMARK(BM_GateLevelOptFixed);
 void run_engine(benchmark::State& state, Scheme scheme,
                 const CostWeights& w = {}) {
   SessionSpec spec;
-  spec.scheme = scheme;
+  spec.policy = scheme;
   spec.geometry = Geometry::narrow(8, 8);
   spec.weights = w;
   Session session(spec);
@@ -162,7 +162,7 @@ void BM_EngineShardedOptFixed(benchmark::State& state) {
 
   engine::ShardPool pool(workers);
   SessionSpec spec;
-  spec.scheme = Scheme::kOptFixed;
+  spec.policy = Scheme::kOptFixed;
   spec.geometry = Geometry::narrow(8, 8);
   spec.lanes = kLanes;
   spec.pool = &pool;

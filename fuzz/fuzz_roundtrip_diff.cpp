@@ -4,8 +4,10 @@
 // (threaded, or the kernels' own per-burst reset), a lane interleave
 // (1 lane, 8 lanes or another count, and the first burst's lane — the
 // fixed schemes on full byte groups thread one state per lane inside
-// the kernel call; every other draw runs one lane) and payload; the
-// properties under test are
+// the kernel call; every other draw runs one lane) and payload, and
+// drive the engine's one dbi::Geometry entry points (a drawn wide
+// width of at most 8 lines is the one-group geometry). The properties
+// under test are
 //   decode(apply(payload, encode(payload))) == payload   (identity)
 // for the engine kernels at every geometry the bytes can reach,
 // bit-exact parity of the drawn kernel variant against the portable
@@ -20,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "api/geometry.hpp"
 #include "core/encoder.hpp"
 #include "engine/batch_decoder.hpp"
 #include "engine/batch_encoder.hpp"
@@ -120,6 +123,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   if (!wide) {
     const BusConfig cfg{width, bl};
+    const Geometry geometry = cfg;
     const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
     const auto bpb = static_cast<std::size_t>(cfg.bytes_per_beat());
     const std::size_t bursts = size / bb;
@@ -141,10 +145,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     std::vector<BusState> states(lane_count, entry);
     std::vector<BusState> ref_states(lane_count, BusState::all_ones(cfg));
     (void)engine.encode_packed(
-        payload, cfg, engine::LaneStates(states, lanes.lanes, lanes.first),
-        results.data(), 1, reset);
+        payload, geometry, 0,
+        engine::LaneStates(states, lanes.lanes, lanes.first), results.data(),
+        1, reset);
     (void)swar.encode_packed(
-        payload, cfg, engine::LaneStates(ref_states, lanes.lanes, lanes.first),
+        payload, geometry, 0,
+        engine::LaneStates(ref_states, lanes.lanes, lanes.first),
         ref_results.data(), 1, reset);
     if (results != ref_results)
       fail("narrow kernel variant diverges from the portable reference");
@@ -155,12 +161,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     for (std::size_t i = 0; i < bursts; ++i) masks[i] = results[i].invert_mask;
 
     std::vector<std::uint8_t> tx(payload.size());
-    decoder.apply_packed(payload, masks, cfg, tx);
+    decoder.apply_packed(payload, masks, geometry, tx);
     std::vector<std::uint8_t> out(payload.size());
-    decoder.decode_packed(tx, masks, cfg, out);
+    decoder.decode_packed(tx, masks, geometry, out);
     if (out != payload) fail("narrow engine round trip is not identity");
     std::vector<std::uint8_t> swar_out(payload.size());
-    swar_decoder.decode_packed(tx, masks, cfg, swar_out);
+    swar_decoder.decode_packed(tx, masks, geometry, swar_out);
     if (swar_out != out)
       fail("narrow decode variant diverges from the portable reference");
 
@@ -191,7 +197,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     return 0;
   }
 
+  // A wide bus of at most 8 lines is the one-group (narrow) geometry;
+  // its payload layout is the same one byte per beat.
   const WideBusConfig cfg{width, bl};
+  const Geometry geometry = cfg;
   const int groups = cfg.groups();
   const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
   const std::size_t bursts = size / bb;
@@ -218,13 +227,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     if (reset)
       for (std::size_t l = 0; l < lane_count; ++l)
         states[l * stride + gi] = BusState::all_zeros();
-    (void)engine.encode_packed_group(
-        payload, cfg, g,
+    (void)engine.encode_packed(
+        payload, geometry, g,
         engine::LaneStates(std::span<BusState>(states).subspan(gi),
                            lanes.lanes, lanes.first, stride),
         results.data() + gi, stride, reset);
-    (void)swar.encode_packed_group(
-        payload, cfg, g,
+    (void)swar.encode_packed(
+        payload, geometry, g,
         engine::LaneStates(std::span<BusState>(ref_states).subspan(gi),
                            lanes.lanes, lanes.first, stride),
         ref_results.data() + gi, stride, reset);
@@ -245,12 +254,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     masks[i] = results[i].invert_mask;
 
   std::vector<std::uint8_t> tx(payload.size());
-  decoder.apply_packed_wide(payload, masks, cfg, tx);
+  decoder.apply_packed(payload, masks, geometry, tx);
   std::vector<std::uint8_t> out(payload.size());
-  decoder.decode_packed_wide(tx, masks, cfg, out);
+  decoder.decode_packed(tx, masks, geometry, out);
   if (out != payload) fail("wide engine round trip is not identity");
   std::vector<std::uint8_t> swar_out(payload.size());
-  swar_decoder.decode_packed_wide(tx, masks, cfg, swar_out);
+  swar_decoder.decode_packed(tx, masks, geometry, swar_out);
   if (swar_out != out)
     fail("wide decode variant diverges from the portable reference");
   return 0;

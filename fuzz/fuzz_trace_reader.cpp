@@ -34,7 +34,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       }
     }
     // Materialise small plain traces through the legacy view too.
-    if (!reader.wide() && !reader.encoded() && reader.bursts() <= 4096)
+    if (!reader.geometry().is_wide() && !reader.encoded() &&
+        reader.bursts() <= 4096)
       (void)reader.to_burst_trace();
   } catch (const dbi::trace::TraceError&) {
     // Every malformed input must land here — anything else is a find.

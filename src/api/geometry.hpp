@@ -1,14 +1,17 @@
-// dbi::Geometry: the one bus-shape type of the public Session API.
+// dbi::Geometry: the one bus-shape type, from the Session API down into
+// the engine and the trace layer.
 //
-// It subsumes the two engine-level geometry structs:
-//   * BusConfig     — a single DBI group of 1..32 DQ lines (narrow),
-//   * WideBusConfig — up to 64 DQ lines decomposed into byte groups
-//                     with one DBI line each (the JEDEC x16/x32/x64
-//                     arrangement).
-// so a narrow bus is simply the groups() == 1 case, and every front-end
-// (Session, Channel, sweeps, dbitool) speaks one geometry vocabulary.
-// The engine structs remain the internal kernel contracts; bus() /
-// wide_bus() hand them out where the dispatch needs them.
+// A bus is a set of DBI groups, one DBI line each:
+//   * one group of 1..32 DQ lines (narrow, groups() == 1), packed as
+//     bytes_per_beat() little-endian bytes per beat;
+//   * up to 64 DQ lines split into byte groups (the JEDEC x16/x32/x64
+//     arrangement), packed beat-major with byte g of a beat carrying
+//     group g. Odd widths end in a narrower remainder group.
+// The form is canonical: groups() is 1 or ceil(width / 8), and a wide
+// bus of at most 8 lines IS the narrow bus of that width
+// (wide(5) == narrow(5)) — the same single group, the same packed
+// bytes. BusConfig and WideBusConfig convert implicitly; bus() /
+// wide_bus() hand them back where a caller still speaks them.
 #pragma once
 
 #include <stdexcept>
@@ -23,97 +26,91 @@ class Geometry {
   /// Default: the paper's JEDEC x8 BL8 group.
   constexpr Geometry() = default;
 
-  /// One DBI group of `width` (1..32) DQ lines — a BusConfig.
+  /// One DBI group of `width` (1..32) DQ lines.
+  constexpr Geometry(const BusConfig& cfg)  // NOLINT
+      : width_(cfg.width), burst_length_(cfg.burst_length) {}
+
+  /// `width` (1..64) DQ lines in byte groups, one DBI line per group.
+  constexpr Geometry(const WideBusConfig& cfg)  // NOLINT
+      : width_(cfg.width),
+        burst_length_(cfg.burst_length),
+        groups_(cfg.width > 8 ? cfg.groups() : 1) {}
+
   [[nodiscard]] static constexpr Geometry narrow(int width,
                                                  int burst_length = 8) {
-    return Geometry{width, burst_length, /*wide=*/false};
+    return BusConfig{width, burst_length};
   }
-
-  /// `width` (1..64) DQ lines split into byte groups, one DBI line per
-  /// group — a WideBusConfig. Odd widths end in a remainder group.
   [[nodiscard]] static constexpr Geometry wide(int width,
                                                int burst_length = 8) {
-    return Geometry{width, burst_length, /*wide=*/true};
-  }
-
-  [[nodiscard]] static constexpr Geometry of(const BusConfig& cfg) {
-    return narrow(cfg.width, cfg.burst_length);
-  }
-  [[nodiscard]] static constexpr Geometry of(const WideBusConfig& cfg) {
-    return wide(cfg.width, cfg.burst_length);
+    return WideBusConfig{width, burst_length};
   }
 
   [[nodiscard]] constexpr int width() const { return width_; }
   [[nodiscard]] constexpr int burst_length() const { return burst_length_; }
-  [[nodiscard]] constexpr bool is_wide() const { return wide_; }
+  [[nodiscard]] constexpr bool is_wide() const { return groups_ > 1; }
 
   /// DBI groups on the bus: 1 for narrow geometry, ceil(width / 8) for
   /// wide geometry.
-  [[nodiscard]] constexpr int groups() const {
-    return wide_ ? (width_ + 7) / 8 : 1;
-  }
+  [[nodiscard]] constexpr int groups() const { return groups_; }
 
-  /// The engine-level narrow contract. Only valid for narrow geometry.
+  /// The single group as a BusConfig. Valid whenever groups() == 1.
   [[nodiscard]] BusConfig bus() const {
-    if (wide_)
+    if (is_wide())
       throw std::logic_error(
-          "Geometry::bus(): wide geometry has no single-group BusConfig; "
-          "use wide_bus()");
+          "Geometry::bus(): " + to_string() +
+          " has no single-group BusConfig; use wide_bus()");
     return BusConfig{width_, burst_length_};
   }
 
-  /// The engine-level wide contract. Only valid for wide geometry.
+  /// The byte-group view. Valid whenever every group is at most one
+  /// byte wide (wide geometry, or a narrow group of <= 8 lines).
   [[nodiscard]] WideBusConfig wide_bus() const {
-    if (!wide_)
-      throw std::logic_error(
-          "Geometry::wide_bus(): narrow geometry is a BusConfig; use bus()");
+    if (!is_wide() && width_ > 8)
+      throw std::logic_error("Geometry::wide_bus(): " + to_string() +
+                             " is one group wider than a byte; use bus()");
     return WideBusConfig{width_, burst_length_};
   }
 
-  /// Geometry of group g as a standalone single-group BusConfig (the
-  /// unit the kernels and per-group BusStates operate on). For narrow
-  /// geometry g must be 0 and this is just bus().
+  /// Group g as a standalone single-group BusConfig (the unit the
+  /// kernels and per-group BusStates operate on).
   [[nodiscard]] constexpr BusConfig group_config(int g) const {
-    return wide_ ? WideBusConfig{width_, burst_length_}.group_config(g)
-                 : BusConfig{width_, burst_length_};
+    return is_wide() ? WideBusConfig{width_, burst_length_}.group_config(g)
+                     : BusConfig{width_, burst_length_};
   }
 
   /// Packed beat-major layout sizes (the trace payload / engine packed
   /// input format at this geometry).
   [[nodiscard]] constexpr int bytes_per_beat() const {
-    return wide_ ? WideBusConfig{width_, burst_length_}.bytes_per_beat()
-                 : BusConfig{width_, burst_length_}.bytes_per_beat();
+    return is_wide() ? groups_
+                     : BusConfig{width_, burst_length_}.bytes_per_beat();
   }
   [[nodiscard]] constexpr int bytes_per_burst() const {
     return bytes_per_beat() * burst_length_;
   }
 
   /// Total lines driven per beat (DQ lines + one DBI line per group).
-  [[nodiscard]] constexpr int lines() const { return width_ + groups(); }
+  [[nodiscard]] constexpr int lines() const { return width_ + groups_; }
 
   /// Throws std::invalid_argument when the geometry is unusable.
   void validate() const {
-    if (wide_)
+    if (is_wide())
       WideBusConfig{width_, burst_length_}.validate();
     else
       BusConfig{width_, burst_length_}.validate();
   }
 
   [[nodiscard]] std::string to_string() const {
-    return (wide_ ? "wide x" : "x") + std::to_string(width_) + " BL" +
+    return (is_wide() ? "wide x" : "x") + std::to_string(width_) + " BL" +
            std::to_string(burst_length_) +
-           (wide_ ? " (" + std::to_string(groups()) + " DBI groups)" : "");
+           (is_wide() ? " (" + std::to_string(groups_) + " DBI groups)" : "");
   }
 
   friend constexpr bool operator==(const Geometry&, const Geometry&) = default;
 
  private:
-  constexpr Geometry(int width, int burst_length, bool wide)
-      : width_(width), burst_length_(burst_length), wide_(wide) {}
-
   int width_ = 8;
   int burst_length_ = 8;
-  bool wide_ = false;
+  int groups_ = 1;
 };
 
 }  // namespace dbi

@@ -31,7 +31,7 @@ void SessionSpec::validate() const {
   if (fault_injector && direction != Direction::kRoundTrip)
     throw std::invalid_argument(
         "SessionSpec: fault_injector only applies to kRoundTrip sessions");
-  if (resolved_policy().adaptive() && direction != Direction::kEncode)
+  if (policy.adaptive() && direction != Direction::kEncode)
     throw std::invalid_argument(
         "SessionSpec: adaptive scheme policies are encode-only (decode and "
         "round-trip take their schemes from the trace's tags)");
@@ -40,13 +40,11 @@ void SessionSpec::validate() const {
 namespace {
 
 /// The scheme the session's own BatchEncoder runs: the pinned policy
-/// scheme when one is set, else the deprecated spec.scheme slot.
-/// Adaptive sessions spin up per-candidate engines in run_adaptive and
-/// use this one only for kernel introspection and decode.
+/// scheme. Adaptive sessions spin up per-candidate engines in
+/// run_adaptive and use this one (kOpt) only for kernel introspection
+/// and decode.
 Scheme session_engine_scheme(const SessionSpec& spec) {
-  const SchemePolicy p = spec.resolved_policy();
-  return p.mode() == SchemePolicy::Mode::kFixed ? p.fixed_scheme()
-                                                : spec.scheme;
+  return spec.policy.adaptive() ? Scheme::kOpt : spec.policy.fixed_scheme();
 }
 
 }  // namespace
@@ -54,10 +52,6 @@ Scheme session_engine_scheme(const SessionSpec& spec) {
 Session::Session(const SessionSpec& spec)
     : spec_(spec), engine_(session_engine_scheme(spec_), spec_.weights) {
   spec_.validate();
-  // Keep the deprecated scheme slot coherent with a pinned policy so
-  // kernel_report() and pre-policy readers agree with what runs.
-  if (spec_.policy.mode() == SchemePolicy::Mode::kFixed)
-    spec_.scheme = spec_.policy.fixed_scheme();
   // Kernel selection: resolve the spec's pin (unknown names and absent
   // ISAs throw there, naming the candidates), hand the variant to both
   // engine directions, then reject a pin whose envelope covers no path
@@ -73,7 +67,7 @@ Session::Session(const SessionSpec& spec)
   // Adaptive sessions exercise every candidate scheme, so the
   // single-scheme envelope strictness below does not apply to them.
   if (pinned && kernel.isa() != engine::KernelIsa::kPortable &&
-      !spec_.resolved_policy().adaptive()) {
+      !spec_.policy.adaptive()) {
     const KernelReport rep = kernel_report();
     if (rep.fixed_encode != kernel.name() && rep.trellis != kernel.name() &&
         rep.decode != kernel.name())
@@ -104,8 +98,7 @@ Session::Session(const SessionSpec& spec)
   // The incremental-write surface exists for channel-shaped sessions
   // (byte lanes side by side); set up its persistent line states now
   // so write()/write_stream()/reset() agree on them.
-  if (!spec_.geometry.is_wide() && spec_.geometry.width() == 8 &&
-      spec_.lanes <= 64)
+  if (spec_.geometry.width() == 8 && spec_.lanes <= 64)
     lane_states_.assign(static_cast<std::size_t>(spec_.lanes),
                         dbi::BusState::all_ones(spec_.geometry.bus()));
 }
@@ -129,7 +122,7 @@ void Session::publish_stats(const StreamStats& delta, bool whole_run) const {
 }
 
 std::string_view Session::scheme_name() const {
-  switch (spec_.resolved_policy().mode()) {
+  switch (spec_.policy.mode()) {
     case SchemePolicy::Mode::kAdaptiveExact:
       return "adaptive-exact";
     case SchemePolicy::Mode::kAdaptivePredicted:
@@ -149,16 +142,17 @@ KernelReport Session::kernel_report() const {
   rep.variant = k.name();
   rep.isa = engine::isa_name(k.isa());
 
-  const int bl = spec_.geometry.burst_length();
-  const int width = spec_.geometry.width();
-  const bool wide = spec_.geometry.is_wide();
+  const dbi::Geometry& g = spec_.geometry;
+  const int bl = g.burst_length();
   // Which encode kernels this scheme/geometry exercises: full byte
-  // groups take the packed fixed kernels, a narrow non-8 width or a
-  // wide remainder group takes the bit-plane kernel, OPT schemes the
-  // trellis, and kExhaustive bypasses the engine kernels entirely.
-  const bool has_byte_group = wide ? width >= 8 : width == 8;
-  const bool has_narrow_group = wide ? width % 8 != 0 : width != 8;
-  const auto rule = engine::fixed8_rule(spec_.scheme);
+  // groups take the packed fixed kernels, any other group width (a
+  // narrow non-8 width, a wide remainder group) the bit-plane kernel,
+  // OPT schemes the trellis, and kExhaustive bypasses the engine
+  // kernels entirely. Full groups lead, so group 0 and the last group
+  // tell.
+  const bool has_byte_group = g.group_config(0).width == 8;
+  const bool has_narrow_group = g.group_config(g.groups() - 1).width != 8;
+  const auto rule = engine::fixed8_rule(engine_.scheme());
   if (rule) {
     rep.fixed_encode =
         !has_byte_group ? "n/a"
@@ -167,7 +161,7 @@ KernelReport Session::kernel_report() const {
     rep.planar_encode =
         has_narrow_group ? engine::portable_kernel().name() : "n/a";
     rep.trellis = "n/a";
-  } else if (engine::trellis_rule(spec_.scheme)) {
+  } else if (engine::trellis_rule(engine_.scheme())) {
     // Byte groups take the variant's trellis entry inside its envelope;
     // everything else runs the portable flat trellis.
     const bool reset = spec_.state_policy == StatePolicy::kResetPerBurst;
@@ -183,30 +177,25 @@ KernelReport Session::kernel_report() const {
   }
 
   // The receive direction is scheme-blind, so the decode path depends
-  // on geometry alone: byte-per-beat lanes and the full-group wide fast
-  // path go through the variant, everything else through the portable
-  // strided loops.
-  if (!wide) {
-    rep.decode = width <= 8 && k.supports_decode8(spec_.geometry.bus())
-                     ? k.name()
-                     : engine::portable_kernel().name();
-  } else {
-    rep.decode = spec_.geometry.groups() == 8 && width % 8 == 0 &&
-                         k.supports_decode_wide8(bl)
-                     ? k.name()
-                     : engine::portable_kernel().name();
-  }
+  // on geometry alone: byte-per-beat lanes and the x64 fast path go
+  // through the variant, everything else through the portable strided
+  // loop.
+  const bool variant_decodes =
+      g.bytes_per_beat() == 1 ? k.supports_decode8(g.bus())
+      : g.width() == 64       ? k.supports_decode_wide8(bl)
+                              : false;
+  rep.decode =
+      variant_decodes ? k.name() : engine::portable_kernel().name();
   return rep;
 }
 
 void Session::require_channel_geometry(const char* what) const {
-  if (spec_.resolved_policy().adaptive())
+  if (spec_.policy.adaptive())
     throw std::logic_error(
         std::string("Session::") + what +
         ": the incremental write surface encodes with one fixed scheme; "
         "adaptive policies run through Session::run()");
-  if (spec_.geometry.is_wide() || spec_.geometry.width() != 8 ||
-      spec_.lanes > 64)
+  if (spec_.geometry.width() != 8 || spec_.lanes > 64)
     throw std::logic_error(
         std::string("Session::") + what +
         ": the incremental write surface needs narrow x8 geometry with at "
@@ -294,7 +283,7 @@ StreamStats Session::write_stream(std::span<const std::uint8_t> data,
       so.lanes = 1;
       so.reset_state_per_burst = reset_per_write;
       wide_writer_ = std::make_unique<engine::StreamEncoder>(
-          engine_, dbi::WideBusConfig{8 * lanes, lane_cfg.burst_length}, so,
+          engine_, dbi::Geometry::wide(8 * lanes, lane_cfg.burst_length), so,
           std::span<dbi::BusState>(lane_states_));
     }
     wide_writer_->set_pool(pool_override ? pool_override : pool());
@@ -387,10 +376,7 @@ StreamStats Session::run_chunks(Source& source, Sink& sink) {
       spec_.state_policy == StatePolicy::kResetPerBurst;
   so.pool = pool();
   so.obs = obs_;
-  engine::StreamEncoder enc =
-      spec_.geometry.is_wide()
-          ? engine::StreamEncoder(engine_, spec_.geometry.wide_bus(), so)
-          : engine::StreamEncoder(engine_, spec_.geometry.bus(), so);
+  engine::StreamEncoder enc(engine_, spec_.geometry, so);
 
   const bool round_trip = spec_.direction == Direction::kRoundTrip;
   const bool pass_results = sink.wants_results();
@@ -468,11 +454,11 @@ void Session::round_trip_slice(std::int64_t first_burst,
                                std::span<const engine::BurstResult> results,
                                std::vector<std::uint8_t>& wire,
                                std::vector<std::uint64_t>& masks) {
-  const int groups = spec_.geometry.groups();
-  const int bl = spec_.geometry.burst_length();
-  const auto bpb = static_cast<std::size_t>(spec_.geometry.bytes_per_beat());
-  const auto bb = static_cast<std::size_t>(spec_.geometry.bytes_per_burst());
-  const bool wide = spec_.geometry.is_wide();
+  const dbi::Geometry& g = spec_.geometry;
+  const int groups = g.groups();
+  const int bl = g.burst_length();
+  const auto step = static_cast<std::size_t>(g.bytes_per_beat());
+  const auto bb = static_cast<std::size_t>(g.bytes_per_burst());
 
   masks.resize(results.size());
   for (std::size_t i = 0; i < results.size(); ++i)
@@ -481,40 +467,27 @@ void Session::round_trip_slice(std::int64_t first_burst,
   // Materialise the wire stream, optionally corrupt it, then run the
   // receiver over it — all on the same buffer.
   wire.assign(bytes.begin(), bytes.end());
-  if (wide)
-    decoder_.apply_packed_wide(wire, masks, spec_.geometry.wide_bus(), wire,
-                               pool());
-  else
-    decoder_.apply_packed(wire, masks, spec_.geometry.bus(), wire, pool());
+  decoder_.apply_packed(wire, masks, g, wire, pool());
   if (spec_.fault_injector) spec_.fault_injector(first_burst, wire, masks);
-  if (wide)
-    decoder_.decode_packed_wide(wire, masks, spec_.geometry.wide_bus(), wire,
-                                pool());
-  else
-    decoder_.decode_packed(wire, masks, spec_.geometry.bus(), wire, pool());
+  decoder_.decode_packed(wire, masks, g, wire, pool());
 
   const auto n = static_cast<std::int64_t>(bytes.size() / bb);
   verify_.bursts += n;
   if (std::memcmp(wire.data(), bytes.data(), wire.size()) == 0) return;
 
-  // Beat mask of the differing beats of one burst's group (narrow
-  // groups span bytes_per_beat() bytes per beat; wide group g is the
-  // strided byte).
+  // Beat mask of the differing beats of one burst's group (group g's
+  // bytes of beat t sit at t * bytes_per_beat() + g: the whole beat of
+  // a narrow bus, the strided byte of a wide one).
   const auto diff_mask = [&](const std::uint8_t* original,
                              const std::uint8_t* roundtripped, int group) {
+    const auto gb =
+        static_cast<std::size_t>(g.group_config(group).bytes_per_beat());
     std::uint64_t mask = 0;
     for (int t = 0; t < bl; ++t) {
-      bool differs;
-      if (wide) {
-        const std::size_t at = static_cast<std::size_t>(t) *
-                                   static_cast<std::size_t>(groups) +
-                               static_cast<std::size_t>(group);
-        differs = original[at] != roundtripped[at];
-      } else {
-        const std::size_t at = static_cast<std::size_t>(t) * bpb;
-        differs = std::memcmp(original + at, roundtripped + at, bpb) != 0;
-      }
-      if (differs) mask |= std::uint64_t{1} << t;
+      const std::size_t at =
+          static_cast<std::size_t>(t) * step + static_cast<std::size_t>(group);
+      if (std::memcmp(original + at, roundtripped + at, gb) != 0)
+        mask |= std::uint64_t{1} << t;
     }
     return mask;
   };
@@ -563,13 +536,8 @@ StreamStats Session::run_decode(Source& source, Sink& sink) {
                            static_cast<std::int32_t>(std::min<std::int64_t>(
                                c->bursts, INT32_MAX)));
       if (obs_) obs_->chunks.inc();
-      if (spec_.geometry.is_wide())
-        decoder_.decode_packed_wide(c->bytes, c->masks,
-                                    spec_.geometry.wide_bus(), decoded,
-                                    pool());
-      else
-        decoder_.decode_packed(c->bytes, c->masks, spec_.geometry.bus(),
-                               decoded, pool());
+      decoder_.decode_packed(c->bytes, c->masks, spec_.geometry, decoded,
+                             pool());
     }
     SinkChunk chunk;
     chunk.first_burst = first_burst;
@@ -584,7 +552,7 @@ StreamStats Session::run_decode(Source& source, Sink& sink) {
 }
 
 StreamStats Session::run_adaptive(Source& source, Sink& sink) {
-  const SchemePolicy policy = spec_.resolved_policy();
+  const SchemePolicy& policy = spec_.policy;
   selection_ = select::SelectionReport{};
 
   select::ChunkSelector::Config scfg;
@@ -687,7 +655,7 @@ StreamStats Session::run(Source& source, Sink& sink) {
   StreamStats totals;
   if (spec_.direction == Direction::kDecode)
     totals = run_decode(source, sink);
-  else if (spec_.resolved_policy().adaptive())
+  else if (spec_.policy.adaptive())
     totals = run_adaptive(source, sink);
   else
     totals = run_chunks(source, sink);
@@ -705,9 +673,9 @@ StreamStats Session::run(Source& source) {
 SessionReport Session::report() const {
   SessionReport rep;
   rep.scheme = std::string(scheme_name());
-  rep.policy = spec_.resolved_policy().describe();
+  rep.policy = spec_.policy.describe();
   rep.kernel = kernel_report();
-  rep.adaptive = spec_.resolved_policy().adaptive();
+  rep.adaptive = spec_.policy.adaptive();
   rep.selection = selection_;
   rep.metrics = metrics_report();
   return rep;

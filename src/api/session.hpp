@@ -1,10 +1,10 @@
 // dbi::Session — the one public front-end over every encode path.
 //
-// Construct it from a SessionSpec (scheme, Geometry, lanes, cost
+// Construct it from a SessionSpec (scheme policy, Geometry, lanes, cost
 // weights, threading, state-reset policy) and drive it with one pair
 // of abstractions:
 //
-//   Session session(SessionSpec{.scheme = Scheme::kAc,
+//   Session session(SessionSpec{.policy = Scheme::kAc,
 //                               .geometry = Geometry::wide(64)});
 //   auto source = make_trace_source(reader);   // or packed / bursts /
 //   auto sink = make_stats_sink();             //    corpus / generator
@@ -79,13 +79,9 @@ enum class Direction {
 };
 
 struct SessionSpec {
-  /// Deprecated shim: the pre-policy scheme slot. Still assignable —
-  /// with a default-constructed `policy` it governs exactly as before.
-  /// New code should set `policy` instead.
-  Scheme scheme = Scheme::kOpt;
-  /// How the session chooses the encoding scheme. The default
-  /// (SchemePolicy::Mode::kFollowScheme) defers to `scheme` above;
-  /// SchemePolicy::fixed() pins one scheme; the adaptive modes
+  /// How the session chooses the encoding scheme. The default is
+  /// fixed(Scheme::kOpt); SchemePolicy::fixed() pins one scheme; the
+  /// adaptive modes
   /// re-select per block of policy.block_bursts() bursts ("mixed-block"
   /// coding; encode-direction runs only). A bare Scheme converts
   /// implicitly, so `spec.policy = Scheme::kAc;` also works.
@@ -139,14 +135,6 @@ struct SessionSpec {
   /// `obs`; must outlive the session). Lets several sessions aggregate
   /// into one metrics registry / trace, e.g. dbitool's scheme sweeps.
   obs::Observer* observer = nullptr;
-
-  /// The policy this spec effectively runs: `policy` when set, else the
-  /// deprecated `scheme` slot wrapped as a fixed policy.
-  [[nodiscard]] SchemePolicy resolved_policy() const {
-    return policy.mode() == SchemePolicy::Mode::kFollowScheme
-               ? SchemePolicy::fixed(scheme)
-               : policy;
-  }
 
   void validate() const;
 };

@@ -123,12 +123,9 @@ class TraceFileSource final : public Source {
       : reader_(reader) {}
 
   void bind(const Geometry& g) override {
-    const Geometry mine =
-        reader_.wide() ? Geometry::of(reader_.header().wide_config())
-                       : Geometry::of(reader_.config());
-    if (mine != g)
+    if (reader_.geometry() != g)
       throw std::invalid_argument("trace source: trace geometry " +
-                                  mine.to_string() +
+                                  reader_.geometry().to_string() +
                                   " does not match session geometry " +
                                   g.to_string());
     next_chunk_ = 0;

@@ -29,11 +29,12 @@ void check_mask_tails(std::span<const std::uint64_t> masks, int burst_length,
           std::to_string(burst_length));
 }
 
-[[noreturn]] void throw_bad_beat(std::size_t burst, int beat, int width) {
+[[noreturn]] void throw_bad_beat(std::size_t burst, int beat, int group,
+                                int width) {
   throw std::invalid_argument(
       "BatchDecoder: burst " + std::to_string(burst) + " beat " +
       std::to_string(beat) + ": transmitted word exceeds the width-" +
-      std::to_string(width) + " bus");
+      std::to_string(width) + " group " + std::to_string(group));
 }
 
 /// Splits `bursts` into one contiguous range per worker. Decoding
@@ -60,19 +61,19 @@ void shard_bursts(std::size_t bursts, ShardPool* pool, const Fn& fn) {
 
 void BatchDecoder::decode_range(std::span<const std::uint8_t> tx,
                                 std::span<const std::uint64_t> masks,
-                                const dbi::BusConfig& cfg,
+                                const dbi::Geometry& geometry,
                                 std::span<std::uint8_t> out) const {
-  const int bl = cfg.burst_length;
-  const auto bpb = static_cast<std::size_t>(cfg.bytes_per_beat());
-  const std::size_t bb = static_cast<std::size_t>(bl) * bpb;
+  const int groups = geometry.groups();
+  const int bl = geometry.burst_length();
+  const auto bb = static_cast<std::size_t>(geometry.bytes_per_burst());
   const std::size_t n = tx.size() / bb;
-  const Word dq_mask = cfg.dq_mask();
 
-  if (bpb == 1) {
+  if (geometry.bytes_per_beat() == 1) {
     // Byte-per-beat lanes go through the selected kernel variant
     // (portable reference outside its envelope): 8+ beats decode per
     // flag-masked XOR word, sub-8-wide groups with the lane mask
     // narrowed.
+    const BusConfig cfg = geometry.bus();
     const KernelVariant& k =
         kernel_->supports_decode8(cfg) ? *kernel_ : portable_kernel();
     if (obs_) obs_->count_decode_dispatch(k, &k != kernel_);
@@ -80,73 +81,10 @@ void BatchDecoder::decode_range(std::span<const std::uint8_t> tx,
     return;
   }
 
-  // 2- and 4-byte beats: XOR dq_mask into each flagged beat's
-  // little-endian bytes (validating the transmitted word like
-  // encode_packed does).
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t m = masks[i];
-    const std::uint8_t* src = tx.data() + i * bb;
-    std::uint8_t* dst = out.data() + i * bb;
-    for (int t = 0; t < bl; ++t) {
-      Word w = 0;
-      for (std::size_t b = 0; b < bpb; ++b)
-        w |= static_cast<Word>(src[static_cast<std::size_t>(t) * bpb + b])
-             << (8 * b);
-      if ((w & ~dq_mask) != 0) throw_bad_beat(i, t, cfg.width);
-      if ((m >> t) & 1U) w ^= dq_mask;
-      for (std::size_t b = 0; b < bpb; ++b)
-        dst[static_cast<std::size_t>(t) * bpb + b] =
-            static_cast<std::uint8_t>(w >> (8 * b));
-    }
-  }
-}
-
-void BatchDecoder::decode_packed(std::span<const std::uint8_t> tx,
-                                 std::span<const std::uint64_t> masks,
-                                 const dbi::BusConfig& cfg,
-                                 std::span<std::uint8_t> out,
-                                 ShardPool* pool) const {
-  cfg.validate();
-  const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
-  if (tx.size() % bb != 0)
-    throw std::invalid_argument(
-        "BatchDecoder::decode_packed: payload of " +
-        std::to_string(tx.size()) + " bytes is not a multiple of the " +
-        std::to_string(bb) + "-byte packed burst (width " +
-        std::to_string(cfg.width) + ", burst_length " +
-        std::to_string(cfg.burst_length) + ")");
-  const std::size_t n = tx.size() / bb;
-  if (masks.size() != n)
-    throw std::invalid_argument(
-        "BatchDecoder::decode_packed: " + std::to_string(n) +
-        " bursts need " + std::to_string(n) + " masks, got " +
-        std::to_string(masks.size()));
-  if (out.size() != tx.size())
-    throw std::invalid_argument(
-        "BatchDecoder::decode_packed: output of " +
-        std::to_string(out.size()) + " bytes != input of " +
-        std::to_string(tx.size()));
-  check_mask_tails(masks, cfg.burst_length, 1);
-
-  shard_bursts(n, pool, [&](std::size_t b0, std::size_t count) {
-    decode_range(tx.subspan(b0 * bb, count * bb), masks.subspan(b0, count),
-                 cfg, out.subspan(b0 * bb, count * bb));
-  });
-}
-
-void BatchDecoder::decode_range_wide(std::span<const std::uint8_t> tx,
-                                     std::span<const std::uint64_t> masks,
-                                     const dbi::WideBusConfig& cfg,
-                                     std::span<std::uint8_t> out) const {
-  const int groups = cfg.groups();
-  const int bl = cfg.burst_length;
-  const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
-  const std::size_t n = tx.size() / bb;
-
   // Start from the transmitted bytes; an exact alias decodes in place.
   if (out.data() != tx.data()) std::memcpy(out.data(), tx.data(), tx.size());
 
-  if (groups == 8 && cfg.width % 8 == 0) {
+  if (groups == 8 && geometry.width() == 64) {
     // x64 fast path (all groups full) through the selected kernel
     // variant: per beat, the 8 group flags become one XOR word over the
     // beat-major payload (8x8 mask transpose + bit->byte spread).
@@ -157,66 +95,67 @@ void BatchDecoder::decode_range_wide(std::span<const std::uint8_t> tx,
     return;
   }
 
-  // Generic group counts (including remainder groups): strided
-  // per-group conditional XOR with the group's own lane mask.
+  // Everything else — 2- and 4-byte narrow beats, other group counts,
+  // remainder groups: XOR each group's dq_mask into its flagged beats'
+  // little-endian bytes in place (group g at offset g, beat t at
+  // t * bytes_per_beat()), validating the transmitted word like
+  // encode_packed does.
+  const auto step = static_cast<std::size_t>(geometry.bytes_per_beat());
   for (std::size_t i = 0; i < n; ++i) {
     std::uint8_t* base = out.data() + i * bb;
     for (int g = 0; g < groups; ++g) {
-      const auto gmask = static_cast<std::uint8_t>(cfg.group_mask(g));
+      const BusConfig cfg = geometry.group_config(g);
+      const auto bpb = static_cast<std::size_t>(cfg.bytes_per_beat());
+      const Word dq_mask = cfg.dq_mask();
       const std::uint64_t m = masks[i * static_cast<std::size_t>(groups) +
                                     static_cast<std::size_t>(g)];
-      const bool narrow_group = cfg.group_width(g) < 8;
       for (int t = 0; t < bl; ++t) {
-        std::uint8_t& b = base[static_cast<std::size_t>(t) *
-                                   static_cast<std::size_t>(groups) +
-                               static_cast<std::size_t>(g)];
-        if (narrow_group && (b & ~gmask) != 0)
-          throw std::invalid_argument(
-              "BatchDecoder::decode_packed_wide: burst " + std::to_string(i) +
-              " beat " + std::to_string(t) +
-              ": transmitted byte exceeds the width-" +
-              std::to_string(cfg.group_width(g)) + " remainder group " +
-              std::to_string(g));
-        if ((m >> t) & 1U) b ^= gmask;
+        std::uint8_t* beat = base + static_cast<std::size_t>(t) * step +
+                             static_cast<std::size_t>(g);
+        Word w = 0;
+        for (std::size_t b = 0; b < bpb; ++b)
+          w |= static_cast<Word>(beat[b]) << (8 * b);
+        if ((w & ~dq_mask) != 0) throw_bad_beat(i, t, g, cfg.width);
+        if ((m >> t) & 1U) w ^= dq_mask;
+        for (std::size_t b = 0; b < bpb; ++b)
+          beat[b] = static_cast<std::uint8_t>(w >> (8 * b));
       }
     }
   }
 }
 
-void BatchDecoder::decode_packed_wide(std::span<const std::uint8_t> tx,
-                                      std::span<const std::uint64_t> masks,
-                                      const dbi::WideBusConfig& cfg,
-                                      std::span<std::uint8_t> out,
-                                      ShardPool* pool) const {
-  cfg.validate();
-  const int groups = cfg.groups();
-  const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
+void BatchDecoder::decode_packed(std::span<const std::uint8_t> tx,
+                                 std::span<const std::uint64_t> masks,
+                                 const dbi::Geometry& geometry,
+                                 std::span<std::uint8_t> out,
+                                 ShardPool* pool) const {
+  geometry.validate();
+  const int groups = geometry.groups();
+  const auto bb = static_cast<std::size_t>(geometry.bytes_per_burst());
   if (tx.size() % bb != 0)
     throw std::invalid_argument(
-        "BatchDecoder::decode_packed_wide: payload of " +
+        "BatchDecoder::decode_packed: payload of " +
         std::to_string(tx.size()) + " bytes is not a multiple of the " +
-        std::to_string(bb) + "-byte packed wide burst (width " +
-        std::to_string(cfg.width) + ", " + std::to_string(groups) +
-        " groups, burst_length " + std::to_string(cfg.burst_length) + ")");
+        std::to_string(bb) + "-byte packed burst (" + geometry.to_string() +
+        ")");
   const std::size_t n = tx.size() / bb;
-  if (masks.size() != n * static_cast<std::size_t>(groups))
+  const auto gs = static_cast<std::size_t>(groups);
+  if (masks.size() != n * gs)
     throw std::invalid_argument(
-        "BatchDecoder::decode_packed_wide: " + std::to_string(n) +
-        " bursts of " + std::to_string(groups) + " groups need " +
-        std::to_string(n * static_cast<std::size_t>(groups)) +
+        "BatchDecoder::decode_packed: " + std::to_string(n) + " bursts of " +
+        std::to_string(groups) + " groups need " + std::to_string(n * gs) +
         " masks, got " + std::to_string(masks.size()));
   if (out.size() != tx.size())
     throw std::invalid_argument(
-        "BatchDecoder::decode_packed_wide: output of " +
+        "BatchDecoder::decode_packed: output of " +
         std::to_string(out.size()) + " bytes != input of " +
         std::to_string(tx.size()));
-  check_mask_tails(masks, cfg.burst_length, groups);
+  check_mask_tails(masks, geometry.burst_length(), groups);
 
-  const auto gs = static_cast<std::size_t>(groups);
   shard_bursts(n, pool, [&](std::size_t b0, std::size_t count) {
-    decode_range_wide(tx.subspan(b0 * bb, count * bb),
-                      masks.subspan(b0 * gs, count * gs), cfg,
-                      out.subspan(b0 * bb, count * bb));
+    decode_range(tx.subspan(b0 * bb, count * bb),
+                 masks.subspan(b0 * gs, count * gs), geometry,
+                 out.subspan(b0 * bb, count * bb));
   });
 }
 

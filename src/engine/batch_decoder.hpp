@@ -12,24 +12,23 @@
 // receive path re-derives nothing. The per-scheme parity tests prove
 // this against EncodedBurst::decode for every scheme and geometry.
 //
-// Kernels:
-//   * byte groups (width == 8, the trace format's 1-byte-per-beat
-//     layout) decode 8 beats per 64-bit XOR: the mask bits spread to
-//     0xFF lane bytes with one multiply, so a burst costs two loads,
-//     two logic ops and a store;
-//   * other narrow widths XOR dq_mask() into each flagged beat's
-//     little-endian bytes (validating that transmitted beats fit the
-//     bus, like encode_packed);
-//   * wide multi-group payloads decode in the beat-major layout in
-//     place; the x64 fast path transposes the 8 group masks into
-//     per-beat XOR words (8x8 bit transpose + bit->byte spread), and
-//     every other group count takes a strided per-group pass with the
-//     remainder group's narrower mask.
+// Kernels, all behind one decode_packed over a dbi::Geometry:
+//   * byte groups (one byte per beat: a narrow bus of <= 8 lines, the
+//     trace format's 1-byte-per-beat layout) decode 8 beats per 64-bit
+//     XOR: the mask bits spread to 0xFF lane bytes with one multiply,
+//     so a burst costs two loads, two logic ops and a store;
+//   * the x64 fast path (8 full byte groups, beat-major) transposes the
+//     8 group masks into per-beat XOR words (8x8 bit transpose +
+//     bit->byte spread);
+//   * every other geometry — 2- and 4-byte narrow beats, other group
+//     counts, remainder groups — XORs each group's dq_mask() into its
+//     flagged beats' little-endian bytes in place (validating that
+//     transmitted beats fit the group, like encode_packed).
 //
 // Because the conditional XOR is an involution, the same kernels apply
 // masks in the encode direction (payload -> transmitted stream):
-// apply_packed / apply_packed_wide are the documented aliases Session
-// and the encoded-trace sink use to materialise the wire stream.
+// apply_packed is the documented alias Session and the encoded-trace
+// sink use to materialise the wire stream.
 //
 // Decoding threads no line state, so bursts are independent and a
 // ShardPool splits any call into contiguous burst ranges (results are
@@ -39,6 +38,7 @@
 #include <cstdint>
 #include <span>
 
+#include "api/geometry.hpp"
 #include "core/burst.hpp"
 #include "core/types.hpp"
 #include "engine/kernel_registry.hpp"
@@ -51,7 +51,7 @@ class BatchDecoder {
   BatchDecoder() : kernel_(&default_kernel()) {}
 
   /// The kernel variant serving the hot decode paths (byte-per-beat
-  /// lanes and the groups==8 wide fast path). Defaults to the
+  /// lanes and the x64 fast path). Defaults to the
   /// registry's auto selection; geometries outside the variant's
   /// envelope fall back to the portable "swar" reference, so decode is
   /// bit-exact under every variant.
@@ -64,42 +64,28 @@ class BatchDecoder {
   void set_observer(const obs::Observer* obs) { obs_ = obs; }
 
   /// Recovers the payload of `tx` (packed transmitted bursts in the
-  /// binary trace layout: burst_length beats of cfg.bytes_per_beat()
-  /// little-endian bytes each) given one inversion mask per burst.
-  /// `out` must be tx.size() bytes and may alias `tx` exactly (decode
-  /// in place). Transmitted beats outside cfg.dq_mask() and mask bits
-  /// at or beyond burst_length throw. With a pool, contiguous burst
-  /// ranges decode on different workers.
+  /// binary trace layout at `geometry`: bytes_per_burst() bytes each,
+  /// beat-major) given one inversion mask per (burst, group) pair,
+  /// burst-major / group-minor — the engine's BurstResult order and the
+  /// trace mask-stream order. `out` must be tx.size() bytes and may
+  /// alias `tx` exactly (decode in place). Transmitted beats outside a
+  /// group's dq_mask() and mask bits at or beyond burst_length throw.
+  /// With a pool, contiguous burst ranges decode on different workers.
   void decode_packed(std::span<const std::uint8_t> tx,
                      std::span<const std::uint64_t> masks,
-                     const dbi::BusConfig& cfg, std::span<std::uint8_t> out,
+                     const dbi::Geometry& geometry,
+                     std::span<std::uint8_t> out,
                      ShardPool* pool = nullptr) const;
 
-  /// Wide multi-group twin: `tx` holds beat-major packed wide bursts
-  /// (cfg.bytes_per_burst() bytes each, byte g of a beat = group g) and
-  /// `masks` one u64 per (burst, group) pair, burst-major / group-minor
-  /// — the engine's BurstResult order and the trace mask-stream order.
-  void decode_packed_wide(std::span<const std::uint8_t> tx,
-                          std::span<const std::uint64_t> masks,
-                          const dbi::WideBusConfig& cfg,
-                          std::span<std::uint8_t> out,
-                          ShardPool* pool = nullptr) const;
-
-  /// Encode-direction aliases: the conditional lane XOR is an
+  /// Encode-direction alias: the conditional lane XOR is an
   /// involution, so applying masks to a payload yields the transmitted
   /// stream through the very same kernels.
   void apply_packed(std::span<const std::uint8_t> payload,
                     std::span<const std::uint64_t> masks,
-                    const dbi::BusConfig& cfg, std::span<std::uint8_t> out,
+                    const dbi::Geometry& geometry,
+                    std::span<std::uint8_t> out,
                     ShardPool* pool = nullptr) const {
-    decode_packed(payload, masks, cfg, out, pool);
-  }
-  void apply_packed_wide(std::span<const std::uint8_t> payload,
-                         std::span<const std::uint64_t> masks,
-                         const dbi::WideBusConfig& cfg,
-                         std::span<std::uint8_t> out,
-                         ShardPool* pool = nullptr) const {
-    decode_packed_wide(payload, masks, cfg, out, pool);
+    decode_packed(payload, masks, geometry, out, pool);
   }
 
   /// Scalar reference twin (the pre-engine receive path): materialises
@@ -112,12 +98,8 @@ class BatchDecoder {
  private:
   void decode_range(std::span<const std::uint8_t> tx,
                     std::span<const std::uint64_t> masks,
-                    const dbi::BusConfig& cfg,
+                    const dbi::Geometry& geometry,
                     std::span<std::uint8_t> out) const;
-  void decode_range_wide(std::span<const std::uint8_t> tx,
-                         std::span<const std::uint64_t> masks,
-                         const dbi::WideBusConfig& cfg,
-                         std::span<std::uint8_t> out) const;
 
   const KernelVariant* kernel_;         // never null
   const obs::Observer* obs_ = nullptr;  // dispatch counters; nullable

@@ -29,7 +29,6 @@ using kernels::encode_planar;
 using kernels::encode_raw8;
 using kernels::encode_trellis;
 using kernels::PlanarRule;
-using kernels::StridedBeats;
 using kernels::WordBeats;
 
 /// Lower-case hex of a beat word, for geometry diagnostics.
@@ -158,141 +157,64 @@ void BatchEncoder::check_lanes(const LaneStates& state, int group_width,
 }
 
 BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
-                                       const BusConfig& cfg,
-                                       const LaneStates& lanes,
+                                       const dbi::Geometry& geometry,
+                                       int group, const LaneStates& lanes,
                                        BurstResult* results,
                                        std::size_t results_stride,
                                        bool reset_per_burst) const {
-  cfg.validate();
-  check_lanes(lanes, cfg.width, "encode_packed");
-  const auto bl = static_cast<std::size_t>(cfg.burst_length);
-  const auto bpb = static_cast<std::size_t>(cfg.bytes_per_beat());
-  const std::size_t burst_bytes = bl * bpb;
+  geometry.validate();
+  if (group < 0 || group >= geometry.groups())
+    throw std::invalid_argument(
+        "BatchEncoder::encode_packed: group " + std::to_string(group) +
+        " outside [0, " + std::to_string(geometry.groups()) + ") of the " +
+        geometry.to_string() + " bus");
+  const auto burst_bytes = static_cast<std::size_t>(geometry.bytes_per_burst());
   if (bytes.size() % burst_bytes != 0)
     throw std::invalid_argument(
         "BatchEncoder::encode_packed: payload of " +
         std::to_string(bytes.size()) + " bytes is not a multiple of the " +
-        std::to_string(burst_bytes) + "-byte packed burst (width " +
-        std::to_string(cfg.width) + ", burst_length " +
-        std::to_string(cfg.burst_length) + ")");
-  const std::size_t n = bytes.size() / burst_bytes;
-  const std::uint8_t* p = bytes.data();
-
-  // Width-8 schemes consume the packed bytes in place — the trace
-  // payload layout is the SWAR lane-word layout, so there is no
-  // widening pass at all (and every byte value is a valid beat).
-  if (cfg.width == 8 && scheme_ != Scheme::kExhaustive)
-    return encode_group8(p, n, cfg.burst_length, /*stride=*/1, lanes,
-                         results, results_stride, reset_per_burst);
-
-  BusState& state = lanes.at(0);
-  BurstStats totals;
-  const Word mask = cfg.dq_mask();
-  Word buf[64];  // burst_length <= 64 by BusConfig::validate()
-  for (std::size_t i = 0; i < n; ++i, p += burst_bytes) {
-    for (std::size_t t = 0; t < bl; ++t) {
-      Word w = 0;
-      for (std::size_t b = 0; b < bpb; ++b)
-        w |= static_cast<Word>(p[t * bpb + b]) << (8 * b);
-      if ((w & ~mask) != 0)
-        throw std::invalid_argument(
-            "BatchEncoder::encode_packed: burst " + std::to_string(i) +
-            " beat " + std::to_string(t) + ": word 0x" + to_hex(w) +
-            " exceeds the width-" + std::to_string(cfg.width) + " bus");
-      buf[t] = w;
-    }
-    if (reset_per_burst) state = BusState::all_ones(cfg);
-    const BurstResult r =
-        encode_span(std::span<const Word>(buf, bl), cfg, state, nullptr);
-    totals += r.stats;
-    if (results) results[i * results_stride] = r;
-  }
-  return totals;
-}
-
-BurstStats BatchEncoder::encode_packed_group(
-    std::span<const std::uint8_t> bytes, const dbi::WideBusConfig& cfg,
-    int group, const LaneStates& lanes, BurstResult* results,
-    std::size_t results_stride, bool reset_per_burst) const {
-  cfg.validate();
-  const int groups = cfg.groups();
-  if (group < 0 || group >= groups)
-    throw std::invalid_argument(
-        "BatchEncoder::encode_packed_group: group " + std::to_string(group) +
-        " outside [0, " + std::to_string(groups) + ") of the width-" +
-        std::to_string(cfg.width) + " bus");
-  const auto burst_bytes = static_cast<std::size_t>(cfg.bytes_per_burst());
-  if (bytes.size() % burst_bytes != 0)
-    throw std::invalid_argument(
-        "BatchEncoder::encode_packed_group: payload of " +
-        std::to_string(bytes.size()) + " bytes is not a multiple of the " +
-        std::to_string(burst_bytes) + "-byte packed wide burst (width " +
-        std::to_string(cfg.width) + ", " + std::to_string(groups) +
-        " groups, burst_length " + std::to_string(cfg.burst_length) + ")");
+        std::to_string(burst_bytes) + "-byte packed burst (" +
+        geometry.to_string() + ")");
+  const BusConfig cfg = geometry.group_config(group);
+  check_lanes(lanes, cfg.width, "encode_packed");
   const std::size_t n = bytes.size() / burst_bytes;
   const int bl = cfg.burst_length;
-  const int gw = cfg.group_width(group);
-  check_lanes(lanes, gw, "encode_packed_group");
-  const BusConfig gcfg = cfg.group_config(group);
-  const Word gmask = gcfg.dq_mask();
-
+  // Beat t of a burst starts at byte t * step; the group's bytes sit at
+  // offset `group` (one byte per wide group, the whole beat narrow).
+  const int step = geometry.bytes_per_beat();
   const std::uint8_t* p = bytes.data() + group;
 
-  // Full byte groups: the strided kernels of the selected variant
-  // (stride = groups()). Every byte value is a valid width-8 beat, so
-  // no validation pass is needed.
-  if (gw == 8 && scheme_ != Scheme::kExhaustive)
-    return encode_group8(p, n, bl, groups, lanes, results, results_stride,
+  // Full byte groups consume the packed bytes in place — the trace
+  // payload layout is the SWAR lane-word layout (at stride groups() on
+  // a wide bus), so there is no widening pass at all, and every byte
+  // value is a valid beat.
+  if (cfg.width == 8 && scheme_ != Scheme::kExhaustive)
+    return encode_group8(p, n, bl, step, lanes, results, results_stride,
                          reset_per_burst);
 
   BusState& state = lanes.at(0);
   BurstStats totals;
+  const auto bpb = static_cast<std::size_t>(cfg.bytes_per_beat());
+  const Word mask = cfg.dq_mask();
+  Word buf[64];  // burst_length <= 64 by BusConfig::validate()
   for (std::size_t i = 0; i < n; ++i, p += burst_bytes) {
-    const StridedBeats beats{p, bl, groups};
-    // Full byte groups accept every byte value; a remainder group's
-    // bytes must fit its narrower mask.
-    if (gw < 8) {
-      for (int t = 0; t < bl; ++t)
-        if ((beats[t] & ~gmask) != 0)
-          throw std::invalid_argument(
-              "BatchEncoder::encode_packed_group: burst " + std::to_string(i) +
-              " beat " + std::to_string(t) + ": byte 0x" + to_hex(beats[t]) +
-              " exceeds the width-" + std::to_string(gw) +
-              " remainder group " + std::to_string(group));
+    for (int t = 0; t < bl; ++t) {
+      const std::uint8_t* beat = p + static_cast<std::size_t>(t * step);
+      Word w = 0;
+      for (std::size_t b = 0; b < bpb; ++b)
+        w |= static_cast<Word>(beat[b]) << (8 * b);
+      if ((w & ~mask) != 0)
+        throw std::invalid_argument(
+            "BatchEncoder::encode_packed: burst " + std::to_string(i) +
+            " beat " + std::to_string(t) + ": word 0x" + to_hex(w) +
+            " exceeds the width-" + std::to_string(cfg.width) + " group " +
+            std::to_string(group));
+      buf[t] = w;
     }
-    if (reset_per_burst) state = BusState::all_ones(gcfg);
-    BurstResult r;
-    switch (scheme_) {
-      case Scheme::kRaw:
-        r = gw == 8 ? encode_raw8(beats, state)
-                    : encode_planar(PlanarRule::kRaw, beats, gcfg, state);
-        break;
-      case Scheme::kDc:
-        r = gw == 8 ? encode_fixed8(Fixed8Rule::kDc, beats, state)
-                    : encode_planar(PlanarRule::kDc, beats, gcfg, state);
-        break;
-      case Scheme::kAc:
-        r = gw == 8 ? encode_fixed8(Fixed8Rule::kAc, beats, state)
-                    : encode_planar(PlanarRule::kAc, beats, gcfg, state);
-        break;
-      case Scheme::kAcDc:
-        r = gw == 8 ? encode_fixed8(Fixed8Rule::kAcDc, beats, state)
-                    : encode_planar(PlanarRule::kAcDc, beats, gcfg, state);
-        break;
-      case Scheme::kOpt:
-      case Scheme::kOptFixed:
-        r = encode_trellis(*trellis_rule(scheme_), beats, gcfg, weights_,
-                           state);
-        break;
-      default: {  // kExhaustive: materialise the group burst, scalar twin
-        Burst data(gcfg);
-        for (int t = 0; t < bl; ++t) data.set_word(t, beats[t]);
-        const dbi::EncodedBurst e = fallback_->encode(data, state);
-        r = BurstResult{e.inversion_mask(), e.stats(state)};
-        state = e.final_state();
-        break;
-      }
-    }
+    if (reset_per_burst) state = BusState::all_ones(cfg);
+    const BurstResult r = encode_span(
+        std::span<const Word>(buf, static_cast<std::size_t>(bl)), cfg, state,
+        nullptr);
     totals += r.stats;
     if (results) results[i * results_stride] = r;
   }

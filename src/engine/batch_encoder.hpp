@@ -22,10 +22,11 @@
 //   * Only the exhaustive-search ablation falls back to the scalar
 //     encoder; every Scheme is supported and bit-exact at every width.
 //
-// Wide buses (dbi::WideBusConfig, up to 64 DQ lines) decompose into
-// byte groups with one DBI line each, exactly like a x16/x32/x64
-// device: encode_packed_group runs the kernels above for one group
-// directly over the beat-major packed payload (group g's bytes read at
+// Every packed entry point takes the one bus shape, dbi::Geometry: a
+// narrow bus is its single group, a wide bus (up to 64 DQ lines) a set
+// of byte groups with one DBI line each, exactly like a x16/x32/x64
+// device. encode_packed runs the kernels above for one group directly
+// over the beat-major packed payload (a wide group's bytes read at
 // stride groups(), zero widening pass), threading that group's
 // BusState. engine::StreamEncoder shards (lane, group) units across a
 // ShardPool, so a single wide lane still parallelises groups()-way.
@@ -40,6 +41,7 @@
 #include <span>
 #include <string_view>
 
+#include "api/geometry.hpp"
 #include "core/cost.hpp"
 #include "core/encoder.hpp"
 #include "core/encoding.hpp"
@@ -65,8 +67,7 @@ class BatchEncoder {
   [[nodiscard]] std::string_view name() const;
 
   /// The kernel variant serving this encoder's hot width-8 fixed-scheme
-  /// and trellis paths (encode_packed / encode_packed_group full byte
-  /// groups).
+  /// and trellis paths (encode_packed on full byte groups).
   /// Defaults to the registry's auto selection (CPUID detection plus
   /// the DBI_KERNEL environment override); geometries outside the
   /// variant's envelope fall back to the portable "swar" reference, so
@@ -101,49 +102,35 @@ class BatchEncoder {
                                dbi::BusState& state,
                                BurstResult* results = nullptr) const;
 
-  /// Whether encode_packed / encode_packed_group take `lanes`
-  /// interleaved lanes of full width-8 groups in one in-place call at
-  /// the selected variant's vector rate: this scheme has a fixed width-8
-  /// rule inside the variant's supports_fixed8_lanes envelope. Lanes
-  /// that do not interleave must be gathered apart by the caller.
+  /// Whether encode_packed takes `lanes` interleaved lanes of a full
+  /// width-8 group in one in-place call at the selected variant's
+  /// vector rate: this scheme has a fixed width-8 rule inside the
+  /// variant's supports_fixed8_lanes envelope. Lanes that do not
+  /// interleave must be gathered apart by the caller.
   [[nodiscard]] bool interleaves(int burst_length, int lanes) const;
 
-  /// Packed-byte variant for streaming callers (the trace replay path):
-  /// `bytes` holds consecutive bursts in the binary trace format's
-  /// payload layout — burst_length beats of cfg.bytes_per_beat()
-  /// little-endian bytes each, bursts back to back. Decodes beats on a
-  /// fixed stack buffer (no heap traffic) and threads `state` like
-  /// encode_words. Beats outside cfg.dq_mask() throw. Burst i's result
-  /// goes to results[i * results_stride] when `results` is non-null.
-  /// With `reset_per_burst`, every burst starts from
-  /// BusState::all_ones(cfg) instead (the paper's boundary); `state`
-  /// still ends at the last burst's line values. `state` may also be
-  /// several interleaved lanes (LaneStates, encode_fixed8's contract)
-  /// when interleaves(cfg.burst_length, lanes) holds at width 8;
-  /// otherwise more than one lane throws std::invalid_argument.
+  /// Packed-byte encode of one group — the streaming unit (trace
+  /// replay, Session, StreamEncoder's shards). `bytes` holds
+  /// consecutive bursts in the binary trace format's payload layout at
+  /// `geometry` (bytes_per_burst() bytes each, beat-major); group
+  /// `group`'s beats are read in place: the whole bytes_per_beat()-byte
+  /// little-endian beat of a narrow bus, byte `group` at stride
+  /// groups() of a wide one. Beats outside the group's dq_mask() throw.
+  /// Threads `state` through the bursts in order; with
+  /// `reset_per_burst` every burst starts from the group's all-ones
+  /// boundary instead (the paper's), and `state` still ends at the last
+  /// burst's line values. Burst i's result goes to
+  /// results[i * results_stride] when `results` is non-null. `state`
+  /// may also be several interleaved lanes (LaneStates,
+  /// encode_fixed8's contract) when the group is a full byte and
+  /// interleaves(burst_length, lanes) holds; otherwise more than one
+  /// lane throws std::invalid_argument.
   dbi::BurstStats encode_packed(std::span<const std::uint8_t> bytes,
-                                const dbi::BusConfig& cfg,
+                                const dbi::Geometry& geometry, int group,
                                 const LaneStates& state,
                                 BurstResult* results = nullptr,
                                 std::size_t results_stride = 1,
                                 bool reset_per_burst = false) const;
-
-  /// One group slice of a wide packed stream — the unit StreamEncoder
-  /// shards on. `bytes` holds consecutive beat-major wide bursts
-  /// (cfg.bytes_per_burst() bytes each, byte g of a beat carrying byte
-  /// group g — the trace format's wide payload layout and the Channel
-  /// write layout); the kernels read group `group` in place at stride
-  /// cfg.groups(), so mmap'd wide chunks encode with no widening pass.
-  /// Threads `state` (or, with `reset_per_burst`, starts every burst
-  /// from the group's all-ones state); burst i's result is written to
-  /// results[i * results_stride] when `results` is non-null. Interleaved
-  /// lanes follow encode_packed's rule for a full byte group.
-  dbi::BurstStats encode_packed_group(std::span<const std::uint8_t> bytes,
-                                      const dbi::WideBusConfig& cfg, int group,
-                                      const LaneStates& state,
-                                      BurstResult* results = nullptr,
-                                      std::size_t results_stride = 1,
-                                      bool reset_per_burst = false) const;
 
   /// Reconstructs the full physical burst for callers that need beats.
   [[nodiscard]] dbi::EncodedBurst materialize(const dbi::Burst& data,

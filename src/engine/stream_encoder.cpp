@@ -26,28 +26,17 @@ void StreamEncodeOptions::validate() const {
 }
 
 StreamEncoder::StreamEncoder(const BatchEncoder& encoder,
-                             const dbi::BusConfig& cfg,
+                             const dbi::Geometry& geometry,
                              const StreamEncodeOptions& options,
                              std::span<dbi::BusState> states)
-    : encoder_(encoder), cfg_(cfg), opt_(options) {
+    : encoder_(encoder), geometry_(geometry), opt_(options) {
   opt_.validate();
-  cfg_.validate();
-  bytes_per_burst_ = static_cast<std::size_t>(cfg_.bytes_per_burst());
-  full_groups_ = cfg_.width == 8 ? 1 : 0;
-  units_.resize(static_cast<std::size_t>(opt_.lanes));
-  init(states);
-}
-
-StreamEncoder::StreamEncoder(const BatchEncoder& encoder,
-                             const dbi::WideBusConfig& cfg,
-                             const StreamEncodeOptions& options,
-                             std::span<dbi::BusState> states)
-    : encoder_(encoder), wcfg_(cfg), wide_(true), opt_(options) {
-  opt_.validate();
-  wcfg_.validate();
-  groups_ = wcfg_.groups();
-  full_groups_ = wcfg_.width / 8;
-  bytes_per_burst_ = static_cast<std::size_t>(wcfg_.bytes_per_burst());
+  geometry_.validate();
+  groups_ = geometry_.groups();
+  while (full_groups_ < groups_ &&
+         geometry_.group_config(full_groups_).width == 8)
+    ++full_groups_;
+  bytes_per_burst_ = static_cast<std::size_t>(geometry_.bytes_per_burst());
   units_.resize(static_cast<std::size_t>(opt_.lanes) *
                 static_cast<std::size_t>(groups_));
   init(states);
@@ -72,7 +61,7 @@ void StreamEncoder::init(std::span<dbi::BusState> states) {
 }
 
 dbi::BusConfig StreamEncoder::unit_config(int unit) const {
-  return wide_ ? wcfg_.group_config(unit % groups_) : cfg_;
+  return geometry_.group_config(unit % groups_);
 }
 
 void StreamEncoder::reset() {
@@ -125,29 +114,24 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
   const std::size_t mine = (count - j0 + static_cast<std::size_t>(L) - 1) /
                            static_cast<std::size_t>(L);
 
-  // A wide unit encodes one byte per beat once its slice is gathered.
-  const auto slice_bb =
-      wide_ ? static_cast<std::size_t>(wcfg_.burst_length) : bb;
+  // Gather only this unit's group slice, so the L x groups units never
+  // copy a byte twice: a narrow burst whole, a wide group's byte per
+  // beat. The slice is then a narrow stream of the group's geometry.
+  const auto slice_bb = static_cast<std::size_t>(cfg.bytes_per_burst());
   {
     obs::ScopedSpan gather_span(opt_.obs, obs::Stage::kGather, lane, group);
     us.bytes.resize(mine * slice_bb);
     std::uint8_t* dst = us.bytes.data();
-    const std::uint8_t* src = payload.data();
-    if (!wide_) {
-      for (std::size_t j = j0; j < count; j += static_cast<std::size_t>(L)) {
+    const std::uint8_t* src = payload.data() + group;
+    const auto stride = static_cast<std::size_t>(groups_);
+    for (std::size_t j = j0; j < count; j += static_cast<std::size_t>(L)) {
+      if (groups_ == 1) {
         std::memcpy(dst, src + j * bb, bb);
-        dst += bb;
+      } else {
+        for (std::size_t t = 0; t < slice_bb; ++t)
+          dst[t] = src[j * bb + t * stride];
       }
-    } else {
-      // Gather only this unit's group slice (1 byte per beat), so the L
-      // x groups units never copy a byte twice.
-      const auto stride = static_cast<std::size_t>(groups_);
-      for (std::size_t j = j0; j < count; j += static_cast<std::size_t>(L)) {
-        const std::uint8_t* burst =
-            src + j * bb + static_cast<std::size_t>(group);
-        for (std::size_t t = 0; t < slice_bb; ++t) dst[t] = burst[t * stride];
-        dst += slice_bb;
-      }
+      dst += slice_bb;
     }
   }
   // Results land straight in chunk order: this unit's k-th burst is
@@ -164,7 +148,7 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
   for (std::size_t k0 = 0; k0 < mine; k0 += kAccumBlockBursts) {
     const std::size_t block = std::min(kAccumBlockBursts, mine - k0);
     const dbi::BurstStats s = encoder_.encode_packed(
-        bytes.subspan(k0 * slice_bb, block * slice_bb), cfg, state,
+        bytes.subspan(k0 * slice_bb, block * slice_bb), cfg, 0, state,
         results ? results + k0 * results_stride : nullptr, results_stride,
         reset);
     us.zeros += s.zeros;
@@ -197,11 +181,8 @@ void StreamEncoder::encode_group_lanes(int group, std::int64_t first_burst,
         payload.subspan(k0 * bytes_per_burst_, block * bytes_per_burst_);
     BurstResult* block_results = results ? results + k0 * G : nullptr;
     const dbi::BurstStats s =
-        wide_ ? encoder_.encode_packed_group(block_bytes, wcfg_, group,
-                                             lanes.advanced(k0),
-                                             block_results, G, reset)
-              : encoder_.encode_packed(block_bytes, cfg_, lanes.advanced(k0),
-                                       block_results, 1, reset);
+        encoder_.encode_packed(block_bytes, geometry_, group,
+                               lanes.advanced(k0), block_results, G, reset);
     us.zeros += s.zeros;
     us.transitions += s.transitions;
   }
@@ -224,9 +205,9 @@ std::span<const BurstResult> StreamEncoder::encode_chunk(
   // In place, one work item per group: every group of a one-lane
   // stream, and the full byte groups whose lanes the kernel
   // interleaves. Every other (lane, group) unit is gathered.
-  const int burst_length = wide_ ? wcfg_.burst_length : cfg_.burst_length;
   const int shared = opt_.lanes == 1 ? groups_
-                     : encoder_.interleaves(burst_length, opt_.lanes)
+                     : encoder_.interleaves(geometry_.burst_length(),
+                                            opt_.lanes)
                          ? full_groups_
                          : 0;
   const int gathered_groups = groups_ - shared;

@@ -5,13 +5,14 @@
 // dbi::Session's one encode loop feeds it chunks pulled from any Source
 // (in-RAM packed spans, generators, views straight off a mmap'd trace
 // file); the selector, dbid, verify and Session's incremental write
-// surface drive it too. The stream is interpreted like a
+// surface drive it too. The stream's bus shape is one dbi::Geometry (a
+// narrow stream is its one-group case), and it is interpreted like a
 // workload::Channel write sequence: burst g belongs to lane g % lanes,
-// and each (lane, byte group) pair is one shard unit with its own
-// threaded BusState — so a single x64 lane still spreads across 8
-// workers. Totals accumulate in 64-bit counters internally
-// (chunks of any size are block-split so BurstStats's int fields never
-// overflow). Each group takes one of two routes:
+// and each (lane, group) pair is one shard unit with its own threaded
+// BusState — so a single x64 lane still spreads across 8 workers.
+// Totals accumulate in 64-bit counters internally (chunks of any size
+// are block-split so BurstStats's int fields never overflow). Each
+// group takes one of two routes:
 //   * in place, for every group of a single-lane stream and for the
 //     full byte groups of a multi-lane stream whose lanes the encoder's
 //     kernel interleaves (BatchEncoder::interleaves: avx512-fixed8 at 8
@@ -34,6 +35,7 @@
 #include <span>
 #include <vector>
 
+#include "api/geometry.hpp"
 #include "core/types.hpp"
 #include "engine/batch_encoder.hpp"
 #include "engine/shard_pool.hpp"
@@ -70,19 +72,13 @@ struct StreamUnit {
 
 class StreamEncoder {
  public:
-  /// Narrow stream: every burst is one `cfg` group. `encoder` must
-  /// outlive the StreamEncoder. `states` optionally hands in
-  /// caller-owned line states (lanes entries, threaded in place, must
-  /// outlive the StreamEncoder) so several encode surfaces can share
-  /// one bus history; empty means internally owned states.
-  StreamEncoder(const BatchEncoder& encoder, const dbi::BusConfig& cfg,
-                const StreamEncodeOptions& options,
-                std::span<dbi::BusState> states = {});
-
-  /// Wide multi-group stream (beat-major packed payload, one byte per
-  /// group per beat). Caller-owned `states` hold lanes x groups
-  /// entries, group-minor.
-  StreamEncoder(const BatchEncoder& encoder, const dbi::WideBusConfig& cfg,
+  /// Stream of packed bursts at `geometry` (beat-major, one byte per
+  /// group per beat on a wide bus). `encoder` must outlive the
+  /// StreamEncoder. `states` optionally hands in caller-owned line
+  /// states (lanes x groups entries, group-minor, threaded in place,
+  /// must outlive the StreamEncoder) so several encode surfaces can
+  /// share one bus history; empty means internally owned states.
+  StreamEncoder(const BatchEncoder& encoder, const dbi::Geometry& geometry,
                 const StreamEncodeOptions& options,
                 std::span<dbi::BusState> states = {});
 
@@ -132,9 +128,7 @@ class StreamEncoder {
   [[nodiscard]] dbi::BusConfig unit_config(int unit) const;
 
   const BatchEncoder& encoder_;
-  dbi::BusConfig cfg_;       // narrow streams
-  dbi::WideBusConfig wcfg_;  // wide streams
-  bool wide_ = false;
+  dbi::Geometry geometry_;
   StreamEncodeOptions opt_;
   int groups_ = 1;
   int full_groups_ = 0;  // leading groups that are full bytes

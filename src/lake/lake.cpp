@@ -206,16 +206,7 @@ void LakeReader::parse(std::vector<std::uint8_t> image, bool verify_crc) {
                         std::to_string(m.enc_scheme) + " out of range");
       }
       try {
-        if (m.groups == 0) {
-          dbi::BusConfig{m.width, m.burst_length}.validate();
-        } else {
-          const dbi::WideBusConfig wide{m.width, m.burst_length};
-          wide.validate();
-          if (static_cast<int>(m.groups) != wide.groups())
-            throw std::invalid_argument(
-                "dbi_groups byte " + std::to_string(m.groups) +
-                " does not match width " + std::to_string(wide.width));
-        }
+        trace::validate_header_geometry(m.width, m.burst_length, m.groups);
       } catch (const std::invalid_argument& e) {
         throw LakeError("lake: " + where + " has bad geometry: " + e.what());
       }
@@ -281,10 +272,8 @@ std::unique_ptr<trace::TraceReader> LakeReader::open_member(
   const LakeMember& m = members_.at(i);
   auto reader = std::make_unique<trace::TraceReader>(
       trace::TraceReader::open(member_path(i), verify_crc));
-  const dbi::Geometry got =
-      reader->wide() ? dbi::Geometry::of(reader->header().wide_config())
-                     : dbi::Geometry::of(reader->config());
-  if (got != m.geometry() || reader->bursts() != m.stats.bursts)
+  if (reader->geometry() != m.geometry() ||
+      reader->bursts() != m.stats.bursts)
     throw LakeError("lake: member " + m.name +
                     " no longer matches its catalog record "
                     "(re-run dbitool lake add)");

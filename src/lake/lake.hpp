@@ -64,6 +64,7 @@
 #include <vector>
 
 #include "api/geometry.hpp"
+#include "trace/format.hpp"
 #include "workload/trace.hpp"
 
 namespace dbi::trace {
@@ -108,14 +109,12 @@ struct LakeMember {
   workload::TraceStats stats;
   std::int64_t first_burst = 0;  ///< cumulative offset in catalog order
 
-  [[nodiscard]] bool wide() const { return groups > 1; }
   [[nodiscard]] bool encoded() const;
   [[nodiscard]] bool mixed() const;
 
-  /// The member's bus shape in the Session API vocabulary.
+  /// The member's bus shape (its trace header's geometry()).
   [[nodiscard]] dbi::Geometry geometry() const {
-    return wide() ? dbi::Geometry::wide(width, burst_length)
-                  : dbi::Geometry::narrow(width, burst_length);
+    return trace::header_geometry(width, burst_length, groups);
   }
 };
 

@@ -6,7 +6,7 @@
 // single scheme is optimal across data statistics — so the policy type
 // generalises the slot:
 //
-//   spec.policy = SchemePolicy::fixed(Scheme::kAc);        // old behaviour
+//   spec.policy = SchemePolicy::fixed(Scheme::kAc);        // one scheme
 //   spec.policy = SchemePolicy::adaptive_exact(            // mixed-block
 //       {Scheme::kDc, Scheme::kAc, Scheme::kOpt},
 //       CostModel::kTransitions);
@@ -22,10 +22,9 @@
 // adaptive session carry a per-chunk scheme tag (trace format v3) so
 // decode and verify stay self-describing.
 //
-// SessionSpec::scheme remains assignable as a deprecated shim: a bare
-// Scheme converts implicitly to a fixed() policy, and a
-// default-constructed policy (Mode::kFollowScheme) defers to the old
-// enum slot, so every pre-policy caller compiles and behaves unchanged.
+// A bare Scheme converts implicitly to a fixed() policy
+// (`spec.policy = Scheme::kAc;`), and a default-constructed policy is
+// fixed(Scheme::kOpt), the paper's optimal scheme.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +82,6 @@ enum class CostModel : std::uint8_t {
 class SchemePolicy {
  public:
   enum class Mode : std::uint8_t {
-    kFollowScheme,      ///< default-constructed: SessionSpec::scheme governs
     kFixed,             ///< one scheme for the whole stream
     kAdaptiveExact,     ///< encode-all-candidates, keep the cheapest
     kAdaptivePredicted  ///< feature model + periodic exact probe
@@ -94,10 +92,11 @@ class SchemePolicy {
   /// Every Nth block of a predicted session is exact-probed to re-fit.
   static constexpr int kDefaultProbeInterval = 16;
 
+  /// fixed(Scheme::kOpt).
   SchemePolicy() = default;
-  /// Implicit shim: a bare Scheme is a fixed policy, so
-  /// `spec.policy = Scheme::kAc;` reads like the old enum slot.
-  SchemePolicy(Scheme s) : mode_(Mode::kFixed), candidates_{s} {}  // NOLINT
+  /// A bare Scheme is a fixed policy, so `spec.policy = Scheme::kAc;`
+  /// reads like a plain scheme slot.
+  SchemePolicy(Scheme s) : candidates_{s} {}  // NOLINT
 
   [[nodiscard]] static SchemePolicy fixed(Scheme s) { return SchemePolicy(s); }
 
@@ -170,8 +169,6 @@ class SchemePolicy {
   /// form reports and error messages embed.
   [[nodiscard]] std::string describe() const {
     switch (mode_) {
-      case Mode::kFollowScheme:
-        return "follow-scheme";
       case Mode::kFixed:
         return "fixed(" + std::string(scheme_slug(fixed_scheme())) + ")";
       case Mode::kAdaptiveExact:
@@ -194,8 +191,8 @@ class SchemePolicy {
   friend bool operator==(const SchemePolicy&, const SchemePolicy&) = default;
 
  private:
-  Mode mode_ = Mode::kFollowScheme;
-  std::vector<Scheme> candidates_;
+  Mode mode_ = Mode::kFixed;
+  std::vector<Scheme> candidates_{Scheme::kOpt};
   CostModel cost_model_ = CostModel::kTransitions;
   int probe_interval_ = kDefaultProbeInterval;
   int block_bursts_ = kDefaultBlockBursts;

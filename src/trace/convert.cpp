@@ -24,7 +24,7 @@ workload::TraceStats text_to_binary(std::istream& text, std::ostream& binary,
 }
 
 void binary_to_text(const TraceReader& reader, std::ostream& text) {
-  if (reader.wide())
+  if (reader.geometry().is_wide())
     throw TraceError(
         "convert: the v1 text format is single-group only; wide "
         "multi-group traces replay through the engine instead "
@@ -33,7 +33,7 @@ void binary_to_text(const TraceReader& reader, std::ostream& text) {
     throw TraceError(
         "convert: encoded traces hold the transmitted stream; decode "
         "first (dbitool decode)");
-  const dbi::BusConfig& cfg = reader.config();
+  const dbi::BusConfig cfg = reader.geometry().bus();
   text << "dbi-trace v1 " << cfg.width << ' ' << cfg.burst_length << '\n';
   text << std::hex;
   std::vector<std::uint8_t> scratch;

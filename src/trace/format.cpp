@@ -145,6 +145,70 @@ void rle_decompress(std::span<const std::uint8_t> in,
                      " != expected " + std::to_string(out.size()));
 }
 
+// --------------------------------------------------------------- headers
+
+void validate_header_geometry(int width, int burst_length,
+                              std::uint8_t groups) {
+  header_geometry(width, burst_length, groups).validate();
+  // A wide file's group count is derived from the width, so a
+  // mismatching byte means corruption.
+  const int byte_groups = (width + 7) / 8;
+  if (groups != 0 && groups != byte_groups)
+    throw std::invalid_argument(
+        "dbi_groups byte " + std::to_string(groups) + " does not match width " +
+        std::to_string(width) + " (" + std::to_string(byte_groups) +
+        " byte groups)");
+}
+
+TraceHeader parse_header(std::span<const std::uint8_t> bytes) {
+  TraceHeader h;
+  ByteReader hdr(bytes, "trace header");
+  hdr.expect_magic(kFileMagic, "file");
+  const auto version = static_cast<std::uint8_t>(hdr.le(1));
+  if (version != kFormatVersion && version != kFormatVersionMixed)
+    throw TraceError("trace: unsupported version " + std::to_string(version));
+  h.version = version;
+  const auto endianness = static_cast<std::uint8_t>(hdr.le(1));
+  if (endianness != kLittleEndianTag)
+    throw TraceError("trace: unsupported endianness tag " +
+                     std::to_string(endianness));
+  h.cfg.width = static_cast<int>(hdr.le(2));
+  h.cfg.burst_length = static_cast<int>(hdr.le(2));
+  h.flags = static_cast<std::uint16_t>(hdr.le(2));
+  h.bursts_per_chunk = static_cast<std::uint32_t>(hdr.le(4));
+  h.groups = static_cast<std::uint8_t>(hdr.le(1));
+  h.enc_scheme = static_cast<std::uint8_t>(hdr.le(1));
+  h.enc_lanes = static_cast<std::uint16_t>(hdr.le(2));
+  h.enc_policy = static_cast<std::uint8_t>(hdr.le(1));
+  if (!h.encoded() &&
+      (h.enc_scheme != 0 || h.enc_lanes != 0 || h.enc_policy != 0))
+    throw TraceError(
+        "trace: encode metadata set in a trace without the encoded flag");
+  if (version == kFormatVersionMixed) {
+    // Version 3 exists only for mixed-scheme encoded traces: it must
+    // carry the per-chunk sentinel, and every payload chunk its tag.
+    if (!h.encoded() || h.enc_scheme != kEncSchemeMixed)
+      throw TraceError(
+          "trace: a version-3 file must be an encoded mixed-scheme trace "
+          "(enc_scheme = 0xFF)");
+  } else if (h.enc_scheme > 7) {
+    throw TraceError("trace: encode scheme tag " +
+                     std::to_string(h.enc_scheme) + " out of range");
+  }
+  if (h.enc_policy > 1)
+    throw TraceError("trace: encode state-policy byte " +
+                     std::to_string(h.enc_policy) + " out of range");
+  try {
+    validate_header_geometry(h.cfg.width, h.cfg.burst_length, h.groups);
+  } catch (const std::invalid_argument& e) {
+    throw TraceError(std::string("trace: bad geometry: ") + e.what());
+  }
+  if (h.bursts_per_chunk < 1)
+    throw TraceError("trace: bursts_per_chunk must be >= 1");
+
+  return h;
+}
+
 // ----------------------------------------------------- beat word packing
 
 void pack_burst(std::span<const dbi::Word> words, const dbi::BusConfig& cfg,

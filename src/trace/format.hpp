@@ -42,7 +42,7 @@
 //   burst_length beats of bytes_per_beat() little-endian bytes — for
 //   the canonical 8-lane x BL8 group, one burst is exactly 8 bytes
 //   (one packed 64-bit lane word, the engine's SWAR unit). Wide traces
-//   use the WideBusConfig beat-major layout instead: one byte per group
+//   use the dbi::Geometry beat-major layout instead: one byte per group
 //   per beat (byte g of a beat = byte group g), so group g's stream is
 //   the payload read at stride dbi_groups — the engine's strided
 //   zero-copy unit.
@@ -92,6 +92,7 @@
 #include <string_view>
 #include <vector>
 
+#include "api/geometry.hpp"
 #include "core/types.hpp"
 
 namespace dbi::trace {
@@ -206,11 +207,30 @@ void unpack_burst(const std::uint8_t* in, const dbi::BusConfig& cfg,
 
 // --------------------------------------------------------------- headers
 
+/// The bus shape header bytes 6..9 (width, burst_length) and 16
+/// (dbi_groups) describe: a wide geometry when the file holds more than
+/// one byte group, otherwise the single group (a one-group wide file and
+/// a single-group file of the same width are the same bus, and read the
+/// same).
+[[nodiscard]] constexpr dbi::Geometry header_geometry(int width,
+                                                      int burst_length,
+                                                      std::uint8_t groups) {
+  return groups > 1 ? dbi::Geometry::wide(width, burst_length)
+                    : dbi::Geometry::narrow(width, burst_length);
+}
+
+/// Throws std::invalid_argument unless the header geometry fields are
+/// usable: a valid header_geometry(), and a dbi_groups byte that is
+/// either 0 (single-group file; the byte was reserved-zero) or the
+/// width's byte-group count.
+void validate_header_geometry(int width, int burst_length,
+                              std::uint8_t groups);
+
 struct TraceHeader {
-  /// Geometry. For single-group traces (groups <= 1) this is the full
-  /// story; for wide traces cfg.width is the TOTAL bus width (may
-  /// exceed BusConfig's 32-lane ceiling) and only wide_config() views
-  /// are meaningful.
+  /// Header bytes 6..9 and 16 as parsed: the TOTAL bus width (up to 64
+  /// lines on a wide trace, past BusConfig's 32-lane ceiling), the
+  /// burst length and the dbi_groups byte. geometry() is the bus shape
+  /// they describe.
   dbi::BusConfig cfg;
   std::uint8_t groups = 0;  ///< header byte 16; 0 = single-group file
   std::uint16_t flags = 0;
@@ -227,8 +247,10 @@ struct TraceHeader {
   /// for mixed-scheme traces).
   std::uint8_t version = kFormatVersion;
 
-  /// True when the payload is the multi-group beat-major wide layout.
-  [[nodiscard]] bool wide() const { return groups > 1; }
+  /// The bus shape of the payload (header_geometry()).
+  [[nodiscard]] dbi::Geometry geometry() const {
+    return header_geometry(cfg.width, cfg.burst_length, groups);
+  }
 
   /// True when payload chunks carry the transmitted stream and each is
   /// paired with a mask-stream chunk.
@@ -242,17 +264,6 @@ struct TraceHeader {
     return encoded() && enc_scheme == kEncSchemeMixed;
   }
 
-  [[nodiscard]] dbi::WideBusConfig wide_config() const {
-    return dbi::WideBusConfig{cfg.width, cfg.burst_length};
-  }
-
-  /// DBI groups per burst (mask words per burst in encoded traces).
-  [[nodiscard]] int group_count() const { return wide() ? groups : 1; }
-
-  /// On-disk payload size of one burst, either layout.
-  [[nodiscard]] int bytes_per_burst() const {
-    return wide() ? wide_config().bytes_per_burst() : cfg.bytes_per_burst();
-  }
 };
 
 struct ChunkHeader {
@@ -262,6 +273,11 @@ struct ChunkHeader {
 
   [[nodiscard]] bool compressed() const { return (flags & kChunkFlagRle) != 0; }
 };
+
+/// Parses and validates the 32-byte file header at the front of
+/// `bytes`: magic, version, endianness, encode metadata and geometry
+/// (the dbi_groups byte must match the width). Throws TraceError.
+[[nodiscard]] TraceHeader parse_header(std::span<const std::uint8_t> bytes);
 
 /// Flag bits a v3 payload chunk carries for scheme tag `tag`
 /// (1 + Scheme enum value, the header-byte-17 mapping).

@@ -30,59 +30,7 @@ TraceFileProbe probe_trace_file(const std::string& path) {
   TraceFileProbe p;
   p.file_bytes = size;
 
-  // Header — the same field checks TraceReader::parse applies.
-  ByteReader hdr(hbuf, "trace header");
-  hdr.expect_magic(kFileMagic, "file");
-  const auto version = static_cast<std::uint8_t>(hdr.le(1));
-  if (version != kFormatVersion && version != kFormatVersionMixed)
-    throw TraceError("trace: unsupported version " + std::to_string(version));
-  p.header.version = version;
-  const auto endianness = static_cast<std::uint8_t>(hdr.le(1));
-  if (endianness != kLittleEndianTag)
-    throw TraceError("trace: unsupported endianness tag " +
-                     std::to_string(endianness));
-  p.header.cfg.width = static_cast<int>(hdr.le(2));
-  p.header.cfg.burst_length = static_cast<int>(hdr.le(2));
-  p.header.flags = static_cast<std::uint16_t>(hdr.le(2));
-  p.header.bursts_per_chunk = static_cast<std::uint32_t>(hdr.le(4));
-  p.header.groups = static_cast<std::uint8_t>(hdr.le(1));
-  p.header.enc_scheme = static_cast<std::uint8_t>(hdr.le(1));
-  p.header.enc_lanes = static_cast<std::uint16_t>(hdr.le(2));
-  p.header.enc_policy = static_cast<std::uint8_t>(hdr.le(1));
-  if (!p.header.encoded() &&
-      (p.header.enc_scheme != 0 || p.header.enc_lanes != 0 ||
-       p.header.enc_policy != 0))
-    throw TraceError(
-        "trace: encode metadata set in a trace without the encoded flag");
-  if (version == kFormatVersionMixed) {
-    if (!p.header.encoded() || p.header.enc_scheme != kEncSchemeMixed)
-      throw TraceError(
-          "trace: a version-3 file must be an encoded mixed-scheme trace "
-          "(enc_scheme = 0xFF)");
-  } else if (p.header.enc_scheme > 7) {
-    throw TraceError("trace: encode scheme tag " +
-                     std::to_string(p.header.enc_scheme) + " out of range");
-  }
-  if (p.header.enc_policy > 1)
-    throw TraceError("trace: encode state-policy byte " +
-                     std::to_string(p.header.enc_policy) + " out of range");
-  try {
-    if (p.header.groups == 0) {
-      p.header.cfg.validate();
-    } else {
-      const dbi::WideBusConfig wide = p.header.wide_config();
-      wide.validate();
-      if (static_cast<int>(p.header.groups) != wide.groups())
-        throw std::invalid_argument(
-            "dbi_groups byte " + std::to_string(p.header.groups) +
-            " does not match width " + std::to_string(wide.width) + " (" +
-            std::to_string(wide.groups()) + " byte groups)");
-    }
-  } catch (const std::invalid_argument& e) {
-    throw TraceError(std::string("trace: bad geometry: ") + e.what());
-  }
-  if (p.header.bursts_per_chunk < 1)
-    throw TraceError("trace: bursts_per_chunk must be >= 1");
+  p.header = parse_header(hbuf);
 
   // Footer.
   ByteReader ftr(fbuf, "trace footer");

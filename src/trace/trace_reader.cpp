@@ -122,64 +122,7 @@ void TraceReader::parse(bool verify_crc) {
     throw TraceError("trace: file too small (" + std::to_string(file.size()) +
                      " bytes) for a v2 header + footer");
 
-  // Header.
-  ByteReader hdr(file, "trace header");
-  hdr.expect_magic(kFileMagic, "file");
-  const auto version = static_cast<std::uint8_t>(hdr.le(1));
-  if (version != kFormatVersion && version != kFormatVersionMixed)
-    throw TraceError("trace: unsupported version " + std::to_string(version));
-  header_.version = version;
-  const auto endianness = static_cast<std::uint8_t>(hdr.le(1));
-  if (endianness != kLittleEndianTag)
-    throw TraceError("trace: unsupported endianness tag " +
-                     std::to_string(endianness));
-  header_.cfg.width = static_cast<int>(hdr.le(2));
-  header_.cfg.burst_length = static_cast<int>(hdr.le(2));
-  header_.flags = static_cast<std::uint16_t>(hdr.le(2));
-  header_.bursts_per_chunk = static_cast<std::uint32_t>(hdr.le(4));
-  header_.groups = static_cast<std::uint8_t>(hdr.le(1));
-  header_.enc_scheme = static_cast<std::uint8_t>(hdr.le(1));
-  header_.enc_lanes = static_cast<std::uint16_t>(hdr.le(2));
-  header_.enc_policy = static_cast<std::uint8_t>(hdr.le(1));
-  if (!header_.encoded() &&
-      (header_.enc_scheme != 0 || header_.enc_lanes != 0 ||
-       header_.enc_policy != 0))
-    throw TraceError(
-        "trace: encode metadata set in a trace without the encoded flag");
-  if (version == kFormatVersionMixed) {
-    // Version 3 exists only for mixed-scheme encoded traces: it must
-    // carry the per-chunk sentinel, and every payload chunk its tag.
-    if (!header_.encoded() || header_.enc_scheme != kEncSchemeMixed)
-      throw TraceError(
-          "trace: a version-3 file must be an encoded mixed-scheme trace "
-          "(enc_scheme = 0xFF)");
-  } else if (header_.enc_scheme > 7) {
-    throw TraceError("trace: encode scheme tag " +
-                     std::to_string(header_.enc_scheme) + " out of range");
-  }
-  if (header_.enc_policy > 1)
-    throw TraceError("trace: encode state-policy byte " +
-                     std::to_string(header_.enc_policy) + " out of range");
-  try {
-    if (header_.groups == 0) {
-      // Legacy single-group file: byte 16 was reserved-zero.
-      header_.cfg.validate();
-    } else {
-      // Wide multi-group file: the group count is derived from the
-      // width, so a mismatching byte means corruption.
-      const dbi::WideBusConfig wide = header_.wide_config();
-      wide.validate();
-      if (static_cast<int>(header_.groups) != wide.groups())
-        throw std::invalid_argument(
-            "dbi_groups byte " + std::to_string(header_.groups) +
-            " does not match width " + std::to_string(wide.width) + " (" +
-            std::to_string(wide.groups()) + " byte groups)");
-    }
-  } catch (const std::invalid_argument& e) {
-    throw TraceError(std::string("trace: bad geometry: ") + e.what());
-  }
-  if (header_.bursts_per_chunk < 1)
-    throw TraceError("trace: bursts_per_chunk must be >= 1");
+  header_ = parse_header(file);
 
   // Footer.
   const std::size_t footer_off = file.size() - kFooterBytes;
@@ -211,7 +154,7 @@ void TraceReader::parse(bool verify_crc) {
 
   // Chunk index.
   const auto burst_bytes =
-      static_cast<std::uint64_t>(header_.bytes_per_burst());
+      static_cast<std::uint64_t>(header_.geometry().bytes_per_burst());
   ByteReader cur(file.first(footer_off), "trace chunks");
   (void)cur.bytes(kHeaderBytes);
   std::int64_t bursts_seen = 0;
@@ -246,7 +189,7 @@ void TraceReader::parse(bool verify_crc) {
     const bool mask_chunk = (flags & kChunkFlagMask) != 0;
     const std::uint64_t raw_bytes =
         burst_count *
-        (mask_chunk ? static_cast<std::uint64_t>(header_.group_count()) *
+        (mask_chunk ? static_cast<std::uint64_t>(header_.geometry().groups()) *
                           kMaskBytesPerBurst
                     : burst_bytes);
     if (!compressed && payload_bytes != raw_bytes)
@@ -375,7 +318,7 @@ std::span<const std::uint8_t> TraceReader::chunk_payload(
   if (!info.compressed()) return on_disk;  // zero copy
   const std::size_t raw =
       static_cast<std::size_t>(info.burst_count) *
-      static_cast<std::size_t>(header_.bytes_per_burst());
+      static_cast<std::size_t>(header_.geometry().bytes_per_burst());
   scratch.resize(raw);
   rle_decompress(on_disk, scratch);
   metrics_->rle_chunks.fetch_add(1, std::memory_order_relaxed);
@@ -394,9 +337,10 @@ std::span<const std::uint64_t> TraceReader::chunk_masks(
         "trace: chunk has no mask stream (not an encoded trace)");
   const auto on_disk = file_.bytes().subspan(
       static_cast<std::size_t>(info.mask_offset), info.mask_bytes);
-  const std::size_t raw = static_cast<std::size_t>(info.burst_count) *
-                          static_cast<std::size_t>(header_.group_count()) *
-                          kMaskBytesPerBurst;
+  const std::size_t raw =
+      static_cast<std::size_t>(info.burst_count) *
+      static_cast<std::size_t>(header_.geometry().groups()) *
+      kMaskBytesPerBurst;
   std::span<const std::uint8_t> bytes = on_disk;
   if ((info.mask_flags & kChunkFlagRle) != 0) {
     scratch.resize(raw);
@@ -415,7 +359,7 @@ std::span<const std::uint64_t> TraceReader::chunk_masks(
       m |= static_cast<std::uint64_t>(bytes[w * kMaskBytesPerBurst + b])
            << (8 * b);
     if (bl < 64 && (m >> bl) != 0) {
-      const auto groups = static_cast<std::size_t>(header_.group_count());
+      const auto groups = static_cast<std::size_t>(header_.geometry().groups());
       throw TraceError("trace: inversion mask of burst " +
                        std::to_string(w / groups) + " group " +
                        std::to_string(w % groups) +
@@ -429,18 +373,19 @@ std::span<const std::uint64_t> TraceReader::chunk_masks(
 void TraceReader::unpack_burst_at(std::span<const std::uint8_t> payload,
                                   std::size_t j,
                                   std::span<dbi::Word> words) const {
-  if (header_.wide())
+  if (geometry().is_wide())
     throw TraceError(
         "trace: wide multi-group bursts have no single-word beat view; "
-        "slice per group (see WideBusConfig) or replay through the engine");
-  const auto bb = static_cast<std::size_t>(header_.cfg.bytes_per_burst());
+        "slice per group or replay through the engine");
+  const dbi::BusConfig cfg = geometry().bus();
+  const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
   if ((j + 1) * bb > payload.size())
     throw TraceError("trace: burst index outside chunk payload");
-  unpack_burst(payload.data() + j * bb, header_.cfg, words);
+  unpack_burst(payload.data() + j * bb, cfg, words);
 }
 
 workload::BurstTrace TraceReader::to_burst_trace() const {
-  if (header_.wide())
+  if (geometry().is_wide())
     throw TraceError(
         "trace: wide multi-group traces cannot be materialised as a "
         "single-group BurstTrace; replay through the engine instead");
@@ -448,15 +393,15 @@ workload::BurstTrace TraceReader::to_burst_trace() const {
     throw TraceError(
         "trace: encoded traces hold the transmitted stream, not payload "
         "bursts; decode first (dbitool decode / a kDecode Session)");
-  workload::BurstTrace trace(header_.cfg);
+  const dbi::BusConfig cfg = geometry().bus();
+  workload::BurstTrace trace(cfg);
   std::vector<std::uint8_t> scratch;
-  std::vector<dbi::Word> words(
-      static_cast<std::size_t>(header_.cfg.burst_length));
+  std::vector<dbi::Word> words(static_cast<std::size_t>(cfg.burst_length));
   for (std::size_t c = 0; c < chunks_.size(); ++c) {
     const auto payload = chunk_payload(c, scratch);
     for (std::size_t j = 0; j < chunks_[c].burst_count; ++j) {
       unpack_burst_at(payload, j, words);
-      trace.push(dbi::Burst(header_.cfg, words));
+      trace.push(dbi::Burst(cfg, words));
     }
   }
   return trace;

@@ -99,12 +99,8 @@ class TraceReader {
   [[nodiscard]] static TraceReader from_bytes(std::vector<std::uint8_t> image,
                                               bool verify_crc = true);
 
-  /// Single-group geometry; for wide traces only width / burst_length
-  /// are meaningful (see header().wide_config()).
-  [[nodiscard]] const dbi::BusConfig& config() const { return header_.cfg; }
-  /// True when this is a wide multi-group trace (one DBI per byte
-  /// group, beat-major payload).
-  [[nodiscard]] bool wide() const { return header_.wide(); }
+  /// Bus shape of the payload (header().geometry()).
+  [[nodiscard]] dbi::Geometry geometry() const { return header_.geometry(); }
   /// True when the payload chunks hold the transmitted (post-DBI)
   /// stream and every chunk carries a mask stream (chunk_masks()).
   [[nodiscard]] bool encoded() const { return header_.encoded(); }

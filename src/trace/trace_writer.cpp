@@ -42,40 +42,16 @@ void TraceWriterOptions::validate() const {
         "TraceWriterOptions: enc_policy must be 0 (threaded) or 1 (reset)");
 }
 
-TraceWriter::TraceWriter(std::ostream& os, const dbi::BusConfig& cfg,
+TraceWriter::TraceWriter(std::ostream& os, const dbi::Geometry& geometry,
                          const TraceWriterOptions& opt)
-    : cfg_(cfg), opt_(opt), os_(&os) {
-  init();
-}
-
-TraceWriter::TraceWriter(const std::string& path, const dbi::BusConfig& cfg,
-                         const TraceWriterOptions& opt)
-    : cfg_(cfg),
-      opt_(opt),
-      owned_os_(std::make_unique<std::ofstream>(
-          path, std::ios::binary | std::ios::trunc)),
-      os_(owned_os_.get()) {
-  if (!*owned_os_)
-    throw TraceError("TraceWriter: cannot open " + path + " for writing");
-  init();
-}
-
-TraceWriter::TraceWriter(std::ostream& os, const dbi::WideBusConfig& wide,
-                         const TraceWriterOptions& opt)
-    : cfg_{wide.width, wide.burst_length},
-      wcfg_(wide),
-      wide_mode_(true),
-      opt_(opt),
-      os_(&os) {
+    : geometry_(geometry), opt_(opt), os_(&os) {
   init();
 }
 
 TraceWriter::TraceWriter(const std::string& path,
-                         const dbi::WideBusConfig& wide,
+                         const dbi::Geometry& geometry,
                          const TraceWriterOptions& opt)
-    : cfg_{wide.width, wide.burst_length},
-      wcfg_(wide),
-      wide_mode_(true),
+    : geometry_(geometry),
       opt_(opt),
       owned_os_(std::make_unique<std::ofstream>(
           path, std::ios::binary | std::ios::trunc)),
@@ -85,17 +61,8 @@ TraceWriter::TraceWriter(const std::string& path,
   init();
 }
 
-std::size_t TraceWriter::bytes_per_burst() const {
-  return static_cast<std::size_t>(wide_mode_ ? wcfg_.bytes_per_burst()
-                                             : cfg_.bytes_per_burst());
-}
-
 void TraceWriter::init() {
-  if (wide_mode_) {
-    wcfg_.validate();
-  } else {
-    cfg_.validate();
-  }
+  geometry_.validate();
   opt_.validate();
   // The chunk header stores the payload size as a u32; compression only
   // ever shrinks a kept payload, so bounding the raw chunk bounds both.
@@ -103,7 +70,7 @@ void TraceWriter::init() {
       static_cast<std::uint64_t>(opt_.bursts_per_chunk) *
       std::max<std::uint64_t>(
           static_cast<std::uint64_t>(bytes_per_burst()),
-          opt_.encoded ? static_cast<std::uint64_t>(group_count()) *
+          opt_.encoded ? static_cast<std::uint64_t>(geometry_.groups()) *
                              kMaskBytesPerBurst
                        : 0);
   if (max_chunk_bytes > 0xFFFFFFFFULL)
@@ -120,8 +87,8 @@ void TraceWriter::init() {
   header.push_back(opt_.per_chunk_schemes ? kFormatVersionMixed
                                           : kFormatVersion);
   header.push_back(kLittleEndianTag);
-  put_le(header, static_cast<std::uint64_t>(cfg_.width), 2);
-  put_le(header, static_cast<std::uint64_t>(cfg_.burst_length), 2);
+  put_le(header, static_cast<std::uint64_t>(geometry_.width()), 2);
+  put_le(header, static_cast<std::uint64_t>(geometry_.burst_length()), 2);
   put_le(header,
          (opt_.compress ? kFileFlagCompressed : 0) |
              (opt_.encoded ? kFileFlagEncoded : 0),
@@ -129,8 +96,8 @@ void TraceWriter::init() {
   put_le(header, opt_.bursts_per_chunk, 4);
   // Byte 16: DBI group count; single-group files keep the legacy
   // reserved zero, so they stay byte-identical to pre-wide writers.
-  header.push_back(wide_mode_
-                       ? static_cast<std::uint8_t>(wcfg_.groups())
+  header.push_back(geometry_.is_wide()
+                       ? static_cast<std::uint8_t>(geometry_.groups())
                        : std::uint8_t{0});
   // Bytes 17..20: encode metadata (zero for plain payload traces, so
   // those stay byte-identical to pre-encoded writers). Mixed traces
@@ -159,39 +126,43 @@ void TraceWriter::emit(std::span<const std::uint8_t> bytes) {
   if (!*os_) throw TraceError("TraceWriter: write failed");
 }
 
-void TraceWriter::account(std::span<const dbi::Word> words) {
-  stats_.bursts += 1;
-  stats_.payload_bits += cfg_.width * cfg_.burst_length;
-  dbi::Word last = cfg_.dq_mask();  // the paper's all-ones boundary
-  for (const dbi::Word w : words) {
-    stats_.payload_zeros += cfg_.width - std::popcount(w);
-    stats_.raw_transitions += std::popcount((last ^ w) & cfg_.dq_mask());
-    last = w;
-  }
-}
-
 void TraceWriter::write(const dbi::Burst& burst) {
-  if (!(burst.config() == cfg_))
+  if (geometry_.is_wide() || !(burst.config() == geometry_.bus()))
     throw std::invalid_argument("TraceWriter: burst geometry mismatch");
   write_words(burst.words());
 }
 
-void TraceWriter::account_packed_wide(std::span<const std::uint8_t> burst) {
-  stats_.bursts += 1;
-  stats_.payload_bits += wcfg_.width * wcfg_.burst_length;
-  const int groups = wcfg_.groups();
-  for (int g = 0; g < groups; ++g) {
-    const int gw = wcfg_.group_width(g);
-    const std::uint32_t gmask = wcfg_.group_mask(g);
-    std::uint32_t last = gmask;  // the paper's all-ones boundary
-    for (int t = 0; t < wcfg_.burst_length; ++t) {
-      const std::uint32_t b =
-          burst[static_cast<std::size_t>(t * groups + g)];
-      stats_.payload_zeros += gw - std::popcount(b);
-      stats_.raw_transitions += std::popcount((last ^ b) & gmask);
-      last = b;
+void TraceWriter::account(std::size_t burst_index,
+                          std::span<const std::uint8_t> burst) {
+  // Per group (the whole beat narrow, byte g of every beat wide):
+  // validate each beat word against the group's mask, then count its
+  // zeros and raw transitions from the paper's all-ones boundary.
+  const int bl = geometry_.burst_length();
+  const auto step = static_cast<std::size_t>(geometry_.bytes_per_beat());
+  for (int g = 0; g < geometry_.groups(); ++g) {
+    const dbi::BusConfig cfg = geometry_.group_config(g);
+    const auto bpb = static_cast<std::size_t>(cfg.bytes_per_beat());
+    const dbi::Word mask = cfg.dq_mask();
+    dbi::Word last = mask;
+    for (int t = 0; t < bl; ++t) {
+      const std::uint8_t* beat = burst.data() +
+                                 static_cast<std::size_t>(t) * step +
+                                 static_cast<std::size_t>(g);
+      dbi::Word w = 0;
+      for (std::size_t b = 0; b < bpb; ++b)
+        w |= static_cast<dbi::Word>(beat[b]) << (8 * b);
+      if ((w & ~mask) != 0)
+        throw std::invalid_argument(
+            "TraceWriter::write_packed: burst " + std::to_string(burst_index) +
+            " beat " + std::to_string(t) + ": word does not fit the width-" +
+            std::to_string(cfg.width) + " group " + std::to_string(g));
+      stats_.payload_zeros += cfg.width - std::popcount(w);
+      stats_.raw_transitions += std::popcount((last ^ w) & mask);
+      last = w;
     }
   }
+  stats_.bursts += 1;
+  stats_.payload_bits += geometry_.width() * bl;
 }
 
 void TraceWriter::write_packed(std::span<const std::uint8_t> bytes) {
@@ -214,14 +185,14 @@ void TraceWriter::write_encoded(std::span<const std::uint8_t> bytes,
         std::to_string(bytes.size()) + " bytes is not a multiple of the " +
         std::to_string(bb) + "-byte packed burst");
   const std::size_t bursts = bytes.size() / bb;
-  const auto groups = static_cast<std::size_t>(group_count());
+  const auto groups = static_cast<std::size_t>(geometry_.groups());
   if (masks.size() != bursts * groups)
     throw std::invalid_argument(
         "TraceWriter::write_encoded: " + std::to_string(bursts) +
         " bursts of " + std::to_string(groups) + " DBI groups need " +
         std::to_string(bursts * groups) + " masks, got " +
         std::to_string(masks.size()));
-  const int bl = wide_mode_ ? wcfg_.burst_length : cfg_.burst_length;
+  const int bl = geometry_.burst_length();
   if (bl < 64) {
     for (std::size_t i = 0; i < masks.size(); ++i)
       if ((masks[i] >> bl) != 0)
@@ -258,42 +229,12 @@ void TraceWriter::append_packed(std::span<const std::uint8_t> bytes,
         "TraceWriter::write_packed: payload of " +
         std::to_string(bytes.size()) + " bytes is not a multiple of the " +
         std::to_string(bb) + "-byte packed burst");
-  std::vector<dbi::Word> words(
-      static_cast<std::size_t>(cfg_.burst_length));
   for (std::size_t i = 0; i * bb < bytes.size(); ++i) {
     const auto burst = bytes.subspan(i * bb, bb);
-    if (wide_mode_) {
-      // Full byte groups accept any value; remainder-group bytes must
-      // fit their narrower mask.
-      const int groups = wcfg_.groups();
-      const int gw_last = wcfg_.group_width(groups - 1);
-      if (gw_last < 8) {
-        const auto gmask =
-            static_cast<std::uint8_t>(wcfg_.group_mask(groups - 1));
-        for (int t = 0; t < wcfg_.burst_length; ++t) {
-          const std::uint8_t b =
-              burst[static_cast<std::size_t>(t * groups + groups - 1)];
-          if ((b & ~gmask) != 0)
-            throw std::invalid_argument(
-                "TraceWriter::write_packed: burst " + std::to_string(i) +
-                " beat " + std::to_string(t) + ": byte does not fit the " +
-                "width-" + std::to_string(gw_last) + " remainder group");
-        }
-      }
-      account_packed_wide(burst);
-    } else {
-      // Unpack validates each beat against the single-group mask.
-      try {
-        unpack_burst(burst.data(), cfg_, words);
-      } catch (const TraceError& e) {
-        throw std::invalid_argument("TraceWriter::write_packed: burst " +
-                                    std::to_string(i) + ": " + e.what());
-      }
-      account(words);
-    }
+    account(i, burst);
     pending_.insert(pending_.end(), burst.begin(), burst.end());
     if (masks) {
-      const auto groups = static_cast<std::size_t>(group_count());
+      const auto groups = static_cast<std::size_t>(geometry_.groups());
       for (std::size_t g = 0; g < groups; ++g)
         put_le(pending_masks_, masks[i * groups + g],
                static_cast<int>(kMaskBytesPerBurst));
@@ -303,29 +244,26 @@ void TraceWriter::append_packed(std::span<const std::uint8_t> bytes,
 }
 
 void TraceWriter::write_words(std::span<const dbi::Word> words) {
-  if (finished_) throw TraceError("TraceWriter: already finished");
   if (opt_.encoded)
     throw std::invalid_argument(
         "TraceWriter: encoded traces take write_encoded(bytes, masks), "
         "not Burst words");
-  if (wide_mode_)
+  if (geometry_.is_wide())
     throw std::invalid_argument(
         "TraceWriter: wide traces take write_packed(), not Burst words");
-  const auto bl = static_cast<std::size_t>(cfg_.burst_length);
+  const dbi::BusConfig cfg = geometry_.bus();
+  const auto bl = static_cast<std::size_t>(cfg.burst_length);
   if (words.size() % bl != 0)
     throw std::invalid_argument(
         "TraceWriter: word count not a multiple of burst_length");
-  const dbi::Word mask = cfg_.dq_mask();
+  const dbi::Word mask = cfg.dq_mask();
+  for (const dbi::Word w : words)
+    if ((w & ~mask) != 0)
+      throw std::invalid_argument("TraceWriter: word does not fit width");
+  std::uint8_t packed[4 * 64];  // bytes_per_burst() <= 4 * 64
   for (std::size_t i = 0; i < words.size(); i += bl) {
-    const auto burst = words.subspan(i, bl);
-    for (const dbi::Word w : burst)
-      if ((w & ~mask) != 0)
-        throw std::invalid_argument("TraceWriter: word does not fit width");
-    const std::size_t at = pending_.size();
-    pending_.resize(at + static_cast<std::size_t>(cfg_.bytes_per_burst()));
-    pack_burst(burst, cfg_, pending_.data() + at);
-    account(burst);
-    if (++pending_bursts_ == opt_.bursts_per_chunk) flush_chunk();
+    pack_burst(words.subspan(i, bl), cfg, packed);
+    append_packed({packed, bytes_per_burst()}, nullptr);
   }
 }
 

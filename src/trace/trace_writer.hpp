@@ -19,6 +19,7 @@
 
 #include "core/burst.hpp"
 #include "core/encoder.hpp"
+#include "api/geometry.hpp"
 #include "core/types.hpp"
 #include "trace/format.hpp"
 #include "workload/trace.hpp"
@@ -52,20 +53,15 @@ struct TraceWriterOptions {
 
 class TraceWriter {
  public:
-  /// Writes to a caller-owned stream (must outlive the writer).
-  TraceWriter(std::ostream& os, const dbi::BusConfig& cfg,
+  /// Writes a trace of `geometry` to a caller-owned stream (must
+  /// outlive the writer). A wide multi-group trace (one DBI line per
+  /// byte group, beat-major packed payload) takes write_packed() only;
+  /// the Burst-based write paths throw there.
+  TraceWriter(std::ostream& os, const dbi::Geometry& geometry,
               const TraceWriterOptions& opt = {});
 
   /// Opens `path` for binary writing; throws TraceError on failure.
-  TraceWriter(const std::string& path, const dbi::BusConfig& cfg,
-              const TraceWriterOptions& opt = {});
-
-  /// Wide multi-group trace (one DBI line per byte group, beat-major
-  /// packed payload). Bursts are appended with write_packed(); the
-  /// Burst-based write paths do not apply to wide geometry and throw.
-  TraceWriter(std::ostream& os, const dbi::WideBusConfig& wide,
-              const TraceWriterOptions& opt = {});
-  TraceWriter(const std::string& path, const dbi::WideBusConfig& wide,
+  TraceWriter(const std::string& path, const dbi::Geometry& geometry,
               const TraceWriterOptions& opt = {});
 
   TraceWriter(const TraceWriter&) = delete;
@@ -75,10 +71,7 @@ class TraceWriter {
   /// see them.
   ~TraceWriter();
 
-  [[nodiscard]] const dbi::BusConfig& config() const { return cfg_; }
-  [[nodiscard]] bool wide() const { return wide_mode_; }
-  /// Only meaningful in wide mode.
-  [[nodiscard]] const dbi::WideBusConfig& wide_config() const { return wcfg_; }
+  [[nodiscard]] const dbi::Geometry& geometry() const { return geometry_; }
 
   void write(const dbi::Burst& burst);
 
@@ -127,18 +120,14 @@ class TraceWriter {
   void flush_chunk();
   void emit_chunk(std::uint32_t bursts, std::uint32_t kind_flags,
                   std::span<const std::uint8_t> raw);
-  void account(std::span<const dbi::Word> words);
-  void account_packed_wide(std::span<const std::uint8_t> burst);
+  void account(std::size_t burst_index, std::span<const std::uint8_t> burst);
   void append_packed(std::span<const std::uint8_t> bytes,
                      const std::uint64_t* masks);
-  [[nodiscard]] std::size_t bytes_per_burst() const;
-  [[nodiscard]] int group_count() const {
-    return wide_mode_ ? wcfg_.groups() : 1;
+  [[nodiscard]] std::size_t bytes_per_burst() const {
+    return static_cast<std::size_t>(geometry_.bytes_per_burst());
   }
 
-  dbi::BusConfig cfg_;
-  dbi::WideBusConfig wcfg_{};
-  bool wide_mode_ = false;
+  dbi::Geometry geometry_;
   TraceWriterOptions opt_;
   std::unique_ptr<std::ofstream> owned_os_;
   std::ostream* os_;

@@ -114,7 +114,7 @@ TEST(Corpus, WideRecordingsReplayForEveryScenario) {
   const dbi::WideBusConfig cfg{32, 8};
   dbi::SessionSpec spec;
   spec.policy = dbi::Scheme::kAc;
-  spec.geometry = dbi::Geometry::of(cfg);
+  spec.geometry = cfg;
   dbi::Session session(spec);
   for (const CorpusScenario& s : corpus_scenarios()) {
     std::vector<std::uint8_t> bytes(
@@ -127,7 +127,7 @@ TEST(Corpus, WideRecordingsReplayForEveryScenario) {
     const std::string image = os.str();
     const auto reader = trace::TraceReader::from_bytes(
         std::vector<std::uint8_t>(image.begin(), image.end()));
-    EXPECT_TRUE(reader.wide()) << s.name;
+    EXPECT_TRUE(reader.geometry().is_wide()) << s.name;
     EXPECT_EQ(reader.bursts(), 96) << s.name;
     const auto source = dbi::make_trace_source(reader);
     const dbi::StreamStats t1 = session.run(*source);

@@ -17,7 +17,7 @@
 #include "engine/shard_pool.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi {
 namespace {
@@ -34,7 +34,7 @@ constexpr Scheme kFastSchemes[] = {Scheme::kRaw, Scheme::kDc, Scheme::kAc,
 /// to their narrower group).
 std::vector<std::uint8_t> random_payload(const Geometry& g, int bursts,
                                          std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> bytes(
       static_cast<std::size_t>(bursts) *
       static_cast<std::size_t>(g.bytes_per_burst()));
@@ -166,12 +166,12 @@ TEST(BatchDecoder, MatchesPerGroupScalarReceivePathWide) {
 
       const engine::BatchDecoder decoder;
       std::vector<std::uint8_t> out(tx.size());
-      decoder.decode_packed_wide(tx, masks, cfg, out);
+      decoder.decode_packed(tx, masks, cfg, out);
       EXPECT_EQ(out, payload) << scheme_name(scheme) << " wide x" << width;
 
       // Pool-sharded and in-place decodes are bit-identical.
       std::vector<std::uint8_t> pooled = tx;
-      decoder.decode_packed_wide(pooled, masks, cfg, pooled, &pool);
+      decoder.decode_packed(pooled, masks, cfg, pooled, &pool);
       EXPECT_EQ(pooled, payload);
     }
   }
@@ -185,7 +185,7 @@ TEST(BatchDecoder, PoolShardingIsDeterministic) {
   const engine::BatchEncoder engine(Scheme::kAc);
   std::vector<engine::BurstResult> results(static_cast<std::size_t>(n));
   BusState state = BusState::all_ones(cfg);
-  (void)engine.encode_packed(payload, cfg, state, results.data());
+  (void)engine.encode_packed(payload, cfg, 0, state, results.data());
   std::vector<std::uint64_t> masks(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     masks[static_cast<std::size_t>(i)] =
@@ -238,7 +238,7 @@ TEST(BatchDecoder, RejectsMalformedInput) {
       static_cast<std::size_t>(w12.bytes_per_burst()), 0xFF);
   std::vector<std::uint64_t> w12_masks(2);
   std::vector<std::uint8_t> w12_out(w12_tx.size());
-  EXPECT_THROW(decoder.decode_packed_wide(w12_tx, w12_masks, w12, w12_out),
+  EXPECT_THROW(decoder.decode_packed(w12_tx, w12_masks, w12, w12_out),
                std::invalid_argument);
 }
 
@@ -258,7 +258,7 @@ TEST(SessionRoundTrip, BitExactEverySchemeGeometryLanesAndPolicy) {
                   static_cast<std::uint64_t>(lanes));
 
           SessionSpec spec;
-          spec.scheme = scheme;
+          spec.policy = scheme;
           spec.geometry = g;
           spec.lanes = lanes;
           spec.state_policy = policy;
@@ -295,7 +295,7 @@ TEST(SessionRoundTrip, FaultInjectionReportsExactSites) {
   const auto payload = random_payload(g, n, 55);
 
   SessionSpec spec;
-  spec.scheme = Scheme::kAc;
+  spec.policy = Scheme::kAc;
   spec.geometry = g;
   spec.lanes = 3;
   spec.direction = Direction::kRoundTrip;
@@ -329,7 +329,7 @@ TEST(SessionRoundTrip, WideFaultInjectionAttributesGroup) {
   const auto bb = static_cast<std::size_t>(g.bytes_per_burst());
 
   SessionSpec spec;
-  spec.scheme = Scheme::kDc;
+  spec.policy = Scheme::kDc;
   spec.geometry = g;
   spec.direction = Direction::kRoundTrip;
   spec.fault_injector = [&](std::int64_t first_burst,
@@ -359,7 +359,7 @@ TEST(SessionRoundTrip, CoherentFaultsStayDecodableIncoherentFaultsAreCaught) {
 
   const auto run_with = [&](auto injector) {
     SessionSpec spec;
-    spec.scheme = Scheme::kAc;
+    spec.policy = Scheme::kAc;
     spec.geometry = g;
     spec.direction = Direction::kRoundTrip;
     spec.fault_injector = injector;
@@ -407,13 +407,10 @@ std::vector<std::uint8_t> record_encoded(const Geometry& g, Scheme scheme,
   wopt.enc_scheme = scheme_to_tag(scheme);
   wopt.enc_lanes = static_cast<std::uint16_t>(lanes);
   wopt.enc_policy = 0;
-  auto writer =
-      g.is_wide()
-          ? std::make_unique<trace::TraceWriter>(os, g.wide_bus(), wopt)
-          : std::make_unique<trace::TraceWriter>(os, g.bus(), wopt);
+  auto writer = std::make_unique<trace::TraceWriter>(os, g, wopt);
 
   SessionSpec spec;
-  spec.scheme = scheme;
+  spec.policy = scheme;
   spec.geometry = g;
   spec.lanes = lanes;
   Session session(spec);
@@ -463,7 +460,7 @@ TEST(SessionDecode, RecoversPayloadFromEncodedPackedSource) {
   const engine::BatchEncoder engine(Scheme::kOpt, CostWeights{0.56, 0.44});
   std::vector<engine::BurstResult> results(static_cast<std::size_t>(n));
   BusState state = BusState::all_ones(cfg);
-  (void)engine.encode_packed(payload, cfg, state, results.data());
+  (void)engine.encode_packed(payload, cfg, 0, state, results.data());
   std::vector<std::uint64_t> masks(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     masks[static_cast<std::size_t>(i)] =
@@ -605,7 +602,7 @@ TEST(VerifyEncodedTrace, RequiresSchemeWhenHeaderHasNone) {
   const engine::BatchEncoder engine(Scheme::kAc);
   std::vector<engine::BurstResult> results(64);
   BusState state = BusState::all_ones(g.bus());
-  (void)engine.encode_packed(payload, g.bus(), state, results.data());
+  (void)engine.encode_packed(payload, g.bus(), 0, state, results.data());
   std::vector<std::uint64_t> masks(64);
   for (int i = 0; i < 64; ++i)
     masks[static_cast<std::size_t>(i)] =

@@ -10,13 +10,13 @@
 
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi::trace {
 namespace {
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> bytes(n);
   for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next());
   return bytes;
@@ -24,7 +24,7 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
 
 std::vector<std::uint64_t> random_masks(std::size_t n, int burst_length,
                                         std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   const std::uint64_t tail =
       burst_length >= 64 ? ~std::uint64_t{0}
                          : ((std::uint64_t{1} << burst_length) - 1);
@@ -114,7 +114,7 @@ TEST(EncodedTrace, MaskStreamRoundTripsAcrossGeometriesAndChunking) {
     const auto image = encoded_image(wide, tx, masks, opt);
     const auto reader = TraceReader::from_bytes(image);
     ASSERT_TRUE(reader.encoded());
-    ASSERT_TRUE(reader.wide());
+    ASSERT_TRUE(reader.geometry().is_wide());
     std::vector<std::uint8_t> scratch, mscratch;
     std::vector<std::uint64_t> mwords;
     std::vector<std::uint64_t> masks_read;

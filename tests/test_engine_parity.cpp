@@ -91,7 +91,7 @@ TEST(EngineParity, EncodeLaneMatchesPerBurstEncode) {
   BusState b = BusState::all_ones(cfg);
   std::vector<engine::BurstResult> lane_results(bursts.size());
   const BurstStats totals = batch.encode_packed(
-      test::pack_bursts(bursts), cfg, a, lane_results.data());
+      test::pack_bursts(bursts), cfg, 0, a, lane_results.data());
 
   BurstStats want_totals;
   for (std::size_t i = 0; i < bursts.size(); ++i) {
@@ -116,7 +116,7 @@ TEST(EngineParity, BoundaryTotalsMatchScalarBoundaryLoop) {
       want += scalar->encode(b, boundary).stats(boundary);
     const engine::BatchEncoder batch(s, w);
     BusState state = boundary;
-    EXPECT_EQ(batch.encode_packed(test::pack_bursts(bursts), cfg, state,
+    EXPECT_EQ(batch.encode_packed(test::pack_bursts(bursts), cfg, 0, state,
                                   nullptr, 1, /*reset_per_burst=*/true),
               want)
         << scheme_name(s);

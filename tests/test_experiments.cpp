@@ -12,7 +12,7 @@
 
 #include "engine/batch_encoder.hpp"
 #include "workload/generators.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi::sim {
 namespace {
@@ -299,7 +299,7 @@ TEST(Window, LookaheadConvergesToFullOpt) {
 
 TEST(WideWidthSweep, MatchesEnginePackedTotalsAndScalesWithWidth) {
   // 512 bursts of 64 bytes each feed every width cleanly.
-  workload::Xoshiro256 rng(44);
+  util::Xoshiro256 rng(44);
   std::vector<std::uint8_t> bytes(512 * 64);
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
 
@@ -320,7 +320,7 @@ TEST(WideWidthSweep, MatchesEnginePackedTotalsAndScalesWithWidth) {
   const engine::BatchEncoder batch(Scheme::kDc);
   BusState state = BusState::all_ones(BusConfig{8, 8});
   const BurstStats direct =
-      batch.encode_packed(bytes, BusConfig{8, 8}, state);
+      batch.encode_packed(bytes, BusConfig{8, 8}, 0, state);
   const auto n = static_cast<double>(sweep[0].bursts);
   EXPECT_DOUBLE_EQ(sweep[0].zeros, direct.zeros / n);
   EXPECT_DOUBLE_EQ(sweep[0].transitions, direct.transitions / n);

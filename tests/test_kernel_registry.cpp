@@ -22,7 +22,7 @@
 #include "engine/shard_pool.hpp"
 #include "engine/stream_encoder.hpp"
 #include "test_util.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi {
 namespace {
@@ -30,7 +30,7 @@ namespace {
 using engine::KernelVariant;
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> out(n);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
   return out;
@@ -179,9 +179,9 @@ void expect_packed_parity(const KernelVariant& variant, Scheme scheme,
                                                   static_cast<std::size_t>(i) *
                                                       bb,
                                               bb);
-    ref_totals += ref.encode_packed(burst, cfg, ref_state,
+    ref_totals += ref.encode_packed(burst, cfg, 0, ref_state,
                                     want.data() + i);
-    dut_totals += dut.encode_packed(burst, cfg, dut_state,
+    dut_totals += dut.encode_packed(burst, cfg, 0, dut_state,
                                     got.data() + i);
     ASSERT_EQ(got[static_cast<std::size_t>(i)].invert_mask,
               want[static_cast<std::size_t>(i)].invert_mask)
@@ -202,7 +202,7 @@ void expect_packed_parity(const KernelVariant& variant, Scheme scheme,
     BusState stream_state = BusState::all_ones(cfg);
     std::vector<engine::BurstResult> stream(static_cast<std::size_t>(bursts));
     const BurstStats stream_totals =
-        dut.encode_packed(bytes, cfg, stream_state, stream.data());
+        dut.encode_packed(bytes, cfg, 0, stream_state, stream.data());
     EXPECT_EQ(stream_totals, ref_totals) << variant.name();
     EXPECT_EQ(stream_state, ref_state) << variant.name();
     for (int i = 0; i < bursts; ++i) {
@@ -413,7 +413,7 @@ TEST(KernelParity, Fixed8LaneInterleaveMatchesSwarAndScalarPerLane) {
               // Lane l's entry state sits at [l * G + group].
               std::vector<BusState> entry(static_cast<std::size_t>(lanes) * G,
                                           state_sentinel);
-              workload::Xoshiro256 rng(bursts * 97 + G +
+              util::Xoshiro256 rng(bursts * 97 + G +
                                        static_cast<std::size_t>(first));
               for (int l = 0; l < lanes; ++l)
                 entry[static_cast<std::size_t>(l) * G +
@@ -591,7 +591,7 @@ TEST(KernelParity, Trellis8ResetTieProneBulk) {
   // weights: enough equal-cost comparisons that a single rounding
   // difference in the vector lanes shows up as a mask mismatch.
   constexpr std::uint8_t kAlphabet[] = {0x00, 0xFF, 0x0F, 0xF0, 0x01, 0x7F};
-  workload::Xoshiro256 rng(4242);
+  util::Xoshiro256 rng(4242);
   std::vector<std::uint8_t> bytes(4096 * 8);
   for (auto& b : bytes) b = kAlphabet[rng.next() % 6];
   const CostWeights kWeights[] = {
@@ -618,7 +618,7 @@ TEST(KernelParity, PackedResetFallbacksHonourTheFlag) {
     std::vector<engine::BurstResult> got(static_cast<std::size_t>(bursts) * 2);
     BusState state = BusState::all_zeros();
     const BurstStats totals =
-        enc.encode_packed(bytes, cfg, state, got.data(), 2, true);
+        enc.encode_packed(bytes, cfg, 0, state, got.data(), 2, true);
 
     const auto scalar = make_encoder(scheme);
     BusState want_state;
@@ -652,7 +652,7 @@ TEST(KernelParity, PackedResetFallbacksHonourTheFlag) {
     bytes[i] &= static_cast<std::uint8_t>(wcfg.group_mask(1));
   BusState state = BusState::all_zeros();
   std::vector<engine::BurstResult> got(9);
-  (void)enc.encode_packed_group(bytes, wcfg, 1, state, got.data(), 1, true);
+  (void)enc.encode_packed(bytes, wcfg, 1, state, got.data(), 1, true);
   const auto scalar = make_encoder(Scheme::kAc);
   const BusConfig gcfg = wcfg.group_config(1);
   for (std::size_t i = 0; i < 9; ++i) {
@@ -886,7 +886,7 @@ TEST(KernelParity, NarrowDecodeAllVariantsMatchesPortableAndRoundTrips) {
       BusState state = BusState::all_ones(cfg);
       std::vector<engine::BurstResult> results(
           static_cast<std::size_t>(bursts));
-      enc.encode_packed(payload, cfg, state, results.data());
+      enc.encode_packed(payload, cfg, 0, state, results.data());
       std::vector<std::uint64_t> masks;
       for (const auto& r : results) masks.push_back(r.invert_mask);
 
@@ -938,10 +938,10 @@ TEST(KernelParity, WideDecodeAllVariantsMatchesPortableAndRoundTrips) {
       for (const auto& r : results) masks.push_back(r.invert_mask);
 
       std::vector<std::uint8_t> tx(payload.size());
-      ref.apply_packed_wide(payload, masks, cfg, tx);
+      ref.apply_packed(payload, masks, cfg, tx);
       std::vector<std::uint8_t> want(tx.size()), got(tx.size());
-      ref.decode_packed_wide(tx, masks, cfg, want);
-      dut.decode_packed_wide(tx, masks, cfg, got);
+      ref.decode_packed(tx, masks, cfg, want);
+      dut.decode_packed(tx, masks, cfg, got);
       ASSERT_EQ(got, want) << v->name() << " width " << cfg.width;
       ASSERT_EQ(got, payload) << v->name() << " round trip width "
                               << cfg.width;
@@ -961,7 +961,7 @@ TEST(KernelParity, PooledDecodeIsDeterministicPerVariant) {
   const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
   const auto tx = random_bytes(static_cast<std::size_t>(bursts) * bb, 307);
   std::vector<std::uint64_t> masks;
-  workload::Xoshiro256 rng(308);
+  util::Xoshiro256 rng(308);
   for (int i = 0; i < bursts; ++i) masks.push_back(rng.next() & 0xFFU);
 
   engine::ShardPool pool(4);
@@ -1005,7 +1005,7 @@ TEST(KernelParity, PooledWideEncodeIsDeterministicPerVariant) {
 TEST(KernelSession, SpecPinsVariantAndReportNamesIt) {
   for (const KernelVariant* v : usable_variants()) {
     SessionSpec spec;
-    spec.scheme = Scheme::kAcDc;
+    spec.policy = Scheme::kAcDc;
     spec.geometry = Geometry::narrow(8, 8);
     spec.kernel = std::string(v->name());
     // NEON's encode envelope is empty, but its decode envelope covers
@@ -1041,7 +1041,7 @@ TEST(KernelSession, EnvOverrideReachesSession) {
 
 TEST(KernelSession, ReportCoversTrellisAndPlanarPaths) {
   SessionSpec spec;
-  spec.scheme = Scheme::kOpt;
+  spec.policy = Scheme::kOpt;
   spec.geometry = Geometry::narrow(8, 8);
   const Session opt(spec);
   EXPECT_EQ(opt.kernel_report().trellis, "swar");
@@ -1057,7 +1057,7 @@ TEST(KernelSession, ReportCoversTrellisAndPlanarPaths) {
              {Geometry::narrow(8, 8), Geometry::wide(64, 8),
               Geometry::narrow(8, 16), Geometry::narrow(5, 8)}) {
           SessionSpec s;
-          s.scheme = scheme;
+          s.policy = scheme;
           s.geometry = geometry;
           s.state_policy = policy;
           s.kernel = std::string(v->name());
@@ -1081,7 +1081,7 @@ TEST(KernelSession, ReportCoversTrellisAndPlanarPaths) {
           }
         }
 
-  spec.scheme = Scheme::kAc;
+  spec.policy = Scheme::kAc;
   spec.geometry = Geometry::narrow(5, 8);
   const Session planar(spec);
   EXPECT_EQ(planar.kernel_report().planar_encode, "swar");
@@ -1107,14 +1107,14 @@ TEST(KernelSession, EnvelopeMismatchThrows) {
   for (const KernelVariant* v : usable_variants()) {
     if (v->isa() == engine::KernelIsa::kPortable) continue;
     SessionSpec spec;
-    spec.scheme = Scheme::kOpt;
+    spec.policy = Scheme::kOpt;
     spec.geometry = Geometry::narrow(5, 6);
     spec.kernel = std::string(v->name());
     EXPECT_THROW(Session{spec}, std::invalid_argument) << v->name();
   }
   // The portable reference pins everywhere.
   SessionSpec spec;
-  spec.scheme = Scheme::kOpt;
+  spec.policy = Scheme::kOpt;
   spec.geometry = Geometry::narrow(5, 6);
   spec.kernel = "swar";
   EXPECT_NO_THROW(Session{spec});
@@ -1128,7 +1128,7 @@ TEST(KernelSession, WriteStreamIdenticalAcrossVariants) {
   bool first = true;
   for (const KernelVariant* v : usable_variants()) {
     SessionSpec spec;
-    spec.scheme = Scheme::kAc;
+    spec.policy = Scheme::kAc;
     spec.geometry = Geometry::narrow(8, 8);
     spec.lanes = 8;
     spec.kernel = std::string(v->name());

@@ -54,11 +54,7 @@ void record_trace(const std::string& path, const Geometry& g,
                   std::uint32_t bursts_per_chunk = 64) {
   trace::TraceWriterOptions wopt;
   wopt.bursts_per_chunk = bursts_per_chunk;
-  std::unique_ptr<trace::TraceWriter> writer;
-  if (g.is_wide())
-    writer = std::make_unique<trace::TraceWriter>(path, g.wide_bus(), wopt);
-  else
-    writer = std::make_unique<trace::TraceWriter>(path, g.bus(), wopt);
+  trace::TraceWriter writer(path, g, wopt);
   const BusConfig gen_cfg =
       g.is_wide() ? BusConfig{8, g.burst_length()} : g.bus();
   auto generator = workload::make_uniform_source(gen_cfg, seed);
@@ -67,7 +63,7 @@ void record_trace(const std::string& path, const Geometry& g,
   spec.policy = SchemePolicy::fixed(Scheme::kRaw);
   spec.geometry = g;
   Session session(spec);
-  const auto sink = dbi::make_trace_sink(*writer);
+  const auto sink = dbi::make_trace_sink(writer);
   (void)session.run(*source, *sink);
 }
 
@@ -84,6 +80,20 @@ TempLake build_lake() {
   writer.add("w.dbt");
   writer.write();
   return lake;
+}
+
+TEST(LakeCatalog, OneGroupWideMemberReportsItsGeometry) {
+  // wide(8) is one byte group, the narrow x8 bus: the member records and
+  // reports that one geometry.
+  TempLake lake;
+  record_trace(lake.dir + "/w8.dbt", Geometry::wide(8, 8), 100, 3);
+  LakeWriter writer = LakeWriter::create(lake.dir);
+  writer.add("w8.dbt");
+  writer.write();
+  const LakeReader reader = LakeReader::open(lake.dir);
+  ASSERT_EQ(reader.members().size(), 1u);
+  EXPECT_EQ(reader.members()[0].geometry(), Geometry::wide(8, 8));
+  EXPECT_NO_THROW(reader.verify_members());
 }
 
 [[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path) {
@@ -110,7 +120,7 @@ TEST(LakeCatalog, RoundTripsEveryMemberField) {
   EXPECT_EQ(b.first_burst, 333);
   const LakeMember& w = reader.members()[2];
   EXPECT_EQ(w.name, "w.dbt");
-  EXPECT_TRUE(w.wide());
+  EXPECT_TRUE(w.geometry().is_wide());
   EXPECT_EQ(w.geometry(), Geometry::wide(32, 8));
   EXPECT_EQ(w.first_burst, 333 + 190);
 

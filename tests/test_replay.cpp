@@ -17,7 +17,7 @@
 #include "trace/trace_writer.hpp"
 #include "workload/channel.hpp"
 #include "workload/generators.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi::trace {
 namespace {
@@ -59,8 +59,7 @@ StreamStats replay(const TraceReader& reader, Scheme s,
   SessionSpec spec;
   spec.policy = s;
   spec.weights = w;
-  spec.geometry = reader.wide() ? Geometry::of(reader.header().wide_config())
-                                : Geometry::of(reader.config());
+  spec.geometry = reader.geometry();
   spec.lanes = args.lanes;
   spec.state_policy = args.reset_per_burst ? StatePolicy::kResetPerBurst
                                            : StatePolicy::kThread;
@@ -168,7 +167,7 @@ TEST(Replay, MatchesChannelWriteStream) {
 
   for (Scheme s : {Scheme::kDc, Scheme::kAc, Scheme::kOptFixed}) {
     workload::Channel channel(ccfg, s);
-    const workload::ChannelStats want = channel.write_stream(data);
+    const StreamStats want = channel.write_stream(data);
 
     const auto reader = reader_for(trace, 128);
     const StreamStats got = replay(reader, s, {}, {.lanes = ccfg.lanes});
@@ -266,7 +265,7 @@ TEST(Replay, RejectsBadLaneCounts) {
 /// remainder-group bytes masked.
 std::vector<std::uint8_t> wide_payload(const WideBusConfig& cfg, int bursts,
                                        std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> bytes(
       static_cast<std::size_t>(bursts) *
       static_cast<std::size_t>(cfg.bytes_per_burst()));
@@ -353,7 +352,7 @@ TEST(WideReplay, MatchesScalarPerGroupForEverySchemeWithMasks) {
     for (Scheme s : {Scheme::kRaw, Scheme::kDc, Scheme::kAc, Scheme::kAcDc,
                      Scheme::kOpt, Scheme::kOptFixed}) {
       const auto reader = wide_reader_for(cfg, payload);
-      ASSERT_TRUE(reader.wide());
+      ASSERT_TRUE(reader.geometry().is_wide());
       for (const int lanes : {1, 3}) {
         const WideReference ref =
             wide_reference(cfg, payload, s, w, lanes);

@@ -125,7 +125,7 @@ std::string predicted_fingerprint(bool wide, int lanes, CostModel model) {
     const WideBusConfig cfg{64, 8};
     payload.resize(static_cast<std::size_t>(cfg.bytes_per_burst()) * 600);
     workload::fill_wide_corpus("float-tensor", cfg, 23, payload);
-    spec.geometry = Geometry::of(cfg);
+    spec.geometry = cfg;
   } else {
     payload = corpus_packed("mixed", 3000, 19);
     spec.geometry = Geometry::narrow(8, 8);
@@ -148,17 +148,23 @@ std::string predicted_fingerprint(bool wide, int lanes, CostModel model) {
 
 // ------------------------------------------------- SchemePolicy API
 
-TEST(SchemePolicy, DefaultFollowsSchemeSlot) {
+TEST(SchemePolicy, DefaultIsFixedOpt) {
   const SchemePolicy p;
-  EXPECT_EQ(p.mode(), SchemePolicy::Mode::kFollowScheme);
+  EXPECT_EQ(p.mode(), SchemePolicy::Mode::kFixed);
   EXPECT_FALSE(p.adaptive());
-  EXPECT_EQ(p.describe(), "follow-scheme");
+  EXPECT_EQ(p.fixed_scheme(), Scheme::kOpt);
+  EXPECT_EQ(p.describe(), "fixed(opt)");
 
-  SessionSpec spec;
-  spec.scheme = Scheme::kAc;
-  const SchemePolicy resolved = spec.resolved_policy();
-  EXPECT_EQ(resolved.mode(), SchemePolicy::Mode::kFixed);
-  EXPECT_EQ(resolved.fixed_scheme(), Scheme::kAc);
+  // A default-constructed SessionSpec encodes with the optimal scheme.
+  const std::vector<std::uint8_t> payload = corpus_packed("mixed", 256, 3);
+  SessionSpec opt;
+  opt.policy = SchemePolicy::fixed(Scheme::kOpt);
+  Session by_default{SessionSpec{}};
+  Session pinned(opt);
+  EXPECT_EQ(by_default.scheme_name(), pinned.scheme_name());
+  const auto a = make_packed_source(payload);
+  const auto b = make_packed_source(payload);
+  EXPECT_EQ(by_default.run(*a), pinned.run(*b));
 }
 
 TEST(SchemePolicy, BareSchemeConvertsToFixed) {
@@ -195,11 +201,10 @@ TEST(SchemePolicy, ValidateRejectsBadConfigs) {
   EXPECT_NO_THROW(SchemePolicy::adaptive_exact().validate());
 }
 
-TEST(SchemePolicy, FixedPolicySyncsDeprecatedSchemeSlot) {
+TEST(SchemePolicy, FixedPolicyNamesItsScheme) {
   SessionSpec spec;
   spec.policy = SchemePolicy::fixed(Scheme::kAc);
   Session session(spec);
-  EXPECT_EQ(session.spec().scheme, Scheme::kAc);
   EXPECT_EQ(session.scheme_name(), "DBI AC");
 }
 
@@ -378,14 +383,14 @@ TEST(TraceV3, FixedPolicyTraceStaysByteIdenticalV2) {
     return os.str();
   };
 
-  SessionSpec legacy;  // pre-policy spelling
-  legacy.scheme = Scheme::kAc;
-  legacy.state_policy = StatePolicy::kResetPerBurst;
+  SessionSpec bare;  // a bare Scheme converts to fixed()
+  bare.policy = Scheme::kAc;
+  bare.state_policy = StatePolicy::kResetPerBurst;
   SessionSpec via_policy;
   via_policy.policy = SchemePolicy::fixed(Scheme::kAc);
   via_policy.state_policy = StatePolicy::kResetPerBurst;
 
-  const std::string a = record(legacy);
+  const std::string a = record(bare);
   const std::string b = record(via_policy);
   EXPECT_EQ(a, b) << "the policy shim must not change a single byte";
   ASSERT_GT(a.size(), 4u);

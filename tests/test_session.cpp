@@ -18,7 +18,7 @@
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 #include "workload/channel.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -38,7 +38,7 @@ struct Reference {
 /// layout (every word masked to its group / lane width).
 std::vector<std::uint8_t> random_packed(const Geometry& g, int bursts,
                                         std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> bytes(
       static_cast<std::size_t>(bursts) *
       static_cast<std::size_t>(g.bytes_per_burst()));
@@ -129,7 +129,7 @@ Reference reference_encode(const Geometry& g, std::span<const std::uint8_t> byte
 SessionSpec spec_for(const Geometry& g, Scheme scheme, const CostWeights& w,
                      int lanes, bool reset_per_burst) {
   SessionSpec spec;
-  spec.scheme = scheme;
+  spec.policy = scheme;
   spec.geometry = g;
   spec.lanes = lanes;
   spec.weights = w;
@@ -230,10 +230,7 @@ TEST(SessionParity, TraceSourceMatchesPackedSourceWithMasks) {
     {
       trace::TraceWriterOptions opt;
       opt.bursts_per_chunk = 64;
-      auto writer =
-          g.is_wide()
-              ? trace::TraceWriter(image, g.wide_bus(), opt)
-              : trace::TraceWriter(image, g.bus(), opt);
+      trace::TraceWriter writer(image, g, opt);
       writer.write_packed(bytes);
       writer.finish();
     }
@@ -314,7 +311,7 @@ TEST(SessionParity, TraceSinkRecordsTheExactPayload) {
   const Geometry g = Geometry::wide(16);
   std::ostringstream image;
   {
-    trace::TraceWriter writer(image, g.wide_bus(), {});
+    trace::TraceWriter writer(image, g, {});
     const auto sink = make_trace_sink(writer);
     Session recorder(spec_for(g, Scheme::kRaw, {}, 1, false));
     const auto source = make_corpus_source("cacheline-memcpy", 1000, 9);
@@ -331,6 +328,35 @@ TEST(SessionParity, TraceSinkRecordsTheExactPayload) {
   const auto traced = make_trace_source(reader);
   const auto corpus = make_corpus_source("cacheline-memcpy", 1000, 9);
   EXPECT_EQ(replayer.run(*traced), direct.run(*corpus));
+}
+
+TEST(SessionParity, OneGroupWideGeometryRecordsAndReplays) {
+  // A wide bus of at most 8 lines is one byte group: the narrow bus of
+  // that width. A trace recorded at it replays at the same geometry.
+  for (const int width : {5, 8}) {
+    const Geometry g = Geometry::wide(width);
+    EXPECT_EQ(g, Geometry::narrow(width));
+    EXPECT_EQ(g.groups(), 1);
+    const std::vector<std::uint8_t> bytes = random_packed(g, 300, 40 + width);
+    std::ostringstream image;
+    {
+      trace::TraceWriter writer(image, g, {});
+      const auto sink = make_trace_sink(writer);
+      Session recorder(spec_for(g, Scheme::kRaw, {}, 1, false));
+      const auto source = make_packed_source(bytes);
+      (void)recorder.run(*source, *sink);
+    }
+    const std::string data = image.str();
+    const auto reader = trace::TraceReader::from_bytes(
+        std::vector<std::uint8_t>(data.begin(), data.end()));
+    EXPECT_EQ(reader.geometry(), g);
+
+    Session replayer(spec_for(g, Scheme::kAc, {}, 2, false));
+    Session direct(spec_for(g, Scheme::kAc, {}, 2, false));
+    const auto traced = make_trace_source(reader);
+    const auto packed = make_packed_source(bytes);
+    EXPECT_EQ(replayer.run(*traced), direct.run(*packed)) << g.to_string();
+  }
 }
 
 TEST(SessionParity, StatsSinkMatchesResultSinkTotals) {
@@ -375,7 +401,7 @@ TEST(SessionSpecValidation, RejectsBadGeometryAndMismatchedSources) {
   spec.geometry = Geometry::wide(65);
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   EXPECT_THROW(Geometry::narrow(33).validate(), std::invalid_argument);
-  EXPECT_THROW((void)Geometry::narrow(8).wide_bus(), std::logic_error);
+  EXPECT_THROW((void)Geometry::narrow(12).wide_bus(), std::logic_error);
   EXPECT_THROW((void)Geometry::wide(16).bus(), std::logic_error);
 
   // A wide-geometry session rejects a narrow Burst-span source.
@@ -394,7 +420,7 @@ TEST(SessionSpecValidation, RejectsBadGeometryAndMismatchedSources) {
 // --------------------------------------------- incremental write surface
 
 TEST(SessionWrite, MatchesScalarChannelIncludingResetPolicy) {
-  workload::Xoshiro256 rng(2027);
+  util::Xoshiro256 rng(2027);
   for (const bool reset : {false, true}) {
     for (const int lanes : {4, 8}) {
       workload::ChannelConfig cfg{lanes, BusConfig{8, 8}, reset};

@@ -111,7 +111,7 @@ TEST(ShardPool, ShardedEncodeLanesMatchesSerial) {
     auto run_lane = [&](int l) {
       const auto i = static_cast<std::size_t>(l);
       totals[i] =
-          batch.encode_packed(packed[i], cfg, states[i], results[i].data());
+          batch.encode_packed(packed[i], cfg, 0, states[i], results[i].data());
     };
     if (pool) {
       pool->run(kLanes, run_lane);

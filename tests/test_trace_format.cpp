@@ -50,7 +50,7 @@ TEST(TraceFormat, RoundTripsRandomTracesAcrossGeometries) {
     opt.bursts_per_chunk = 64;  // force several chunks
     const auto image = write_to_bytes(trace, opt);
     const auto reader = TraceReader::from_bytes(image);
-    EXPECT_EQ(reader.config(), cfg);
+    EXPECT_EQ(reader.geometry().bus(), cfg);
     EXPECT_EQ(reader.bursts(), 300);
     EXPECT_GE(reader.chunk_count(), 4u);
     expect_equal(reader.to_burst_trace(), trace);
@@ -199,10 +199,10 @@ TEST(TraceFormat, WideHeaderRoundTripsAndPayloadSurvives) {
         << "header byte 16 carries the group count";
 
     const auto reader = TraceReader::from_bytes(image);
-    EXPECT_TRUE(reader.wide());
+    EXPECT_TRUE(reader.geometry().is_wide());
     EXPECT_EQ(reader.header().groups, cfg.groups());
-    EXPECT_EQ(reader.header().wide_config(), cfg);
-    EXPECT_EQ(reader.header().bytes_per_burst(), cfg.bytes_per_burst());
+    EXPECT_EQ(reader.geometry(), cfg);
+    EXPECT_EQ(reader.geometry().bytes_per_burst(), cfg.bytes_per_burst());
     EXPECT_EQ(reader.bursts(), 100);
 
     // The chunk payloads concatenate back to the exact input bytes
@@ -255,7 +255,7 @@ TEST(TraceFormat, SingleGroupFilesKeepReservedZeroGroupsByte) {
   const auto image = write_to_bytes(random_trace(BusConfig{16, 8}, 10, 2));
   EXPECT_EQ(image[16], 0) << "legacy single-group layout must not change";
   const auto reader = TraceReader::from_bytes(image);
-  EXPECT_FALSE(reader.wide());
+  EXPECT_FALSE(reader.geometry().is_wide());
 }
 
 TEST(TraceFormat, RejectsCorruptWideGeometry) {
@@ -302,7 +302,7 @@ TEST(TraceFormat, WideWriterRejectsMisuse) {
   const WideBusConfig cfg{12, 4};
   std::ostringstream os(std::ios::binary);
   TraceWriter writer(os, cfg);
-  EXPECT_TRUE(writer.wide());
+  EXPECT_TRUE(writer.geometry().is_wide());
   // Burst-based writes are single-group only.
   EXPECT_THROW(writer.write(Burst(BusConfig{12, 4})), std::invalid_argument);
   const std::vector<Word> words(4, 0);

@@ -8,13 +8,13 @@
 #include "core/burst.hpp"
 #include "core/types.hpp"
 #include "engine/batch_encoder.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi::test {
 
 /// Deterministic random burst with the given geometry.
 inline Burst random_burst(const BusConfig& cfg, std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   Burst b(cfg);
   for (int i = 0; i < b.length(); ++i)
     b.set_word(i, static_cast<Word>(rng.next()) & cfg.dq_mask());
@@ -43,7 +43,7 @@ inline std::vector<std::uint8_t> pack_bursts(std::span<const Burst> bursts) {
 }
 
 /// Encodes every byte group of a packed wide stream, one
-/// encode_packed_group call per group in group order, threading
+/// encode_packed call per group in group order, threading
 /// states[g]. Burst i's group g lands in results[i * groups + g] when
 /// `results` is non-null. Returns the summed stats of all groups.
 inline BurstStats encode_groups(const engine::BatchEncoder& enc,
@@ -54,7 +54,7 @@ inline BurstStats encode_groups(const engine::BatchEncoder& enc,
   const int groups = cfg.groups();
   BurstStats totals;
   for (int g = 0; g < groups; ++g)
-    totals += enc.encode_packed_group(
+    totals += enc.encode_packed(
         bytes, cfg, g, states[static_cast<std::size_t>(g)],
         results ? results + g : nullptr, static_cast<std::size_t>(groups));
   return totals;

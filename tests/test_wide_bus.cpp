@@ -13,7 +13,7 @@
 #include "engine/batch_encoder.hpp"
 #include "engine/shard_pool.hpp"
 #include "test_util.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi {
 namespace {
@@ -27,7 +27,7 @@ constexpr Scheme kAllSchemes[] = {
 /// bytes masked to the group's lane count.
 std::vector<std::uint8_t> random_wide_bytes(const WideBusConfig& cfg,
                                             int bursts, std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> bytes(
       static_cast<std::size_t>(bursts) *
       static_cast<std::size_t>(cfg.bytes_per_burst()));
@@ -194,7 +194,7 @@ TEST(WideBus, EncodeWideLanesMatchesSerialAndPool) {
     auto run_unit = [&](int u) {
       const auto l = static_cast<std::size_t>(u / groups);
       const int g = u % groups;
-      unit_totals[static_cast<std::size_t>(u)] = batch.encode_packed_group(
+      unit_totals[static_cast<std::size_t>(u)] = batch.encode_packed(
           lane_bytes[l], cfg, g, states[l][static_cast<std::size_t>(g)],
           results[l].data() + g, static_cast<std::size_t>(groups));
     };
@@ -260,8 +260,8 @@ TEST(WideBus, RejectsBadGeometryWithIndexedDiagnostics) {
   }
 
   // A group index outside the bus.
-  EXPECT_THROW((void)batch.encode_packed_group(random_wide_bytes(cfg, 1, 7),
-                                               cfg, 2, states[0]),
+  EXPECT_THROW((void)batch.encode_packed(random_wide_bytes(cfg, 1, 7), cfg, 2,
+                                         states[0]),
                std::invalid_argument);
 }
 
@@ -277,7 +277,7 @@ TEST(WideBus, EncodePackedNamesOffendingBurstAndBeat) {
   bytes[static_cast<std::size_t>(cfg.bytes_per_burst()) + 2 * 2 + 1] =
       0xF0;  // burst 1, beat 2: word 0xf00x exceeds 12 lanes
   try {
-    (void)batch.encode_packed(bytes, cfg, state);
+    (void)batch.encode_packed(bytes, cfg, 0, state);
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -288,7 +288,7 @@ TEST(WideBus, EncodePackedNamesOffendingBurstAndBeat) {
 
   try {
     (void)batch.encode_packed(
-        std::span<const std::uint8_t>(bytes.data(), 3), cfg, state);
+        std::span<const std::uint8_t>(bytes.data(), 3), cfg, 0, state);
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("3 bytes"), std::string::npos)

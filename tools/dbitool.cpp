@@ -230,6 +230,27 @@ std::unique_ptr<workload::BurstSource> make_source(const std::string& kind,
   throw std::runtime_error("unknown source: " + kind);
 }
 
+/// The payload stream of `record` and `client`: --corpus SCENARIO, or
+/// the --source generator at `geometry` (a wide bus draws one byte
+/// generator across its groups, beat-major). Names it in `name`.
+std::unique_ptr<Source> payload_source(const Args& args,
+                                       const Geometry& geometry,
+                                       std::int64_t bursts,
+                                       std::uint64_t seed,
+                                       std::string& name) {
+  if (args.options.count("corpus")) {
+    name = args.get("corpus", "");
+    return dbi::make_corpus_source(name, bursts, seed);
+  }
+  const BusConfig generator_cfg =
+      geometry.is_wide() ? BusConfig{8, geometry.burst_length()}
+                         : geometry.bus();
+  auto generator =
+      make_source(args.get("source", "uniform"), generator_cfg, seed, args);
+  name = std::string(generator->name());
+  return dbi::make_generator_source(std::move(generator), bursts);
+}
+
 Scheme parse_scheme(const std::string& name) {
   if (name == "raw") return Scheme::kRaw;
   if (name == "dc") return Scheme::kDc;
@@ -764,20 +785,9 @@ int cmd_record(const Args& args) {
   // stream beat-major across the groups), the sink writes them through
   // the TraceWriter, and the RAW scheme keeps the pass stats-true
   // without altering the payload.
-  std::unique_ptr<Source> source;
   std::string source_name;
-  const BusConfig generator_cfg =
-      geometry.is_wide() ? BusConfig{8, geometry.burst_length()}
-                         : geometry.bus();
-  if (args.options.count("corpus")) {
-    source_name = args.get("corpus", "");
-    source = dbi::make_corpus_source(source_name, bursts, seed);
-  } else {
-    auto generator =
-        make_source(args.get("source", "uniform"), generator_cfg, seed, args);
-    source_name = std::string(generator->name());
-    source = dbi::make_generator_source(std::move(generator), bursts);
-  }
+  const std::unique_ptr<Source> source =
+      payload_source(args, geometry, bursts, seed, source_name);
 
   // Plain recording passes the payload through untouched (RAW scheme);
   // --encode SCHEME runs the real encoder and writes an ENCODED trace:
@@ -818,14 +828,9 @@ int cmd_record(const Args& args) {
     wopt.enc_policy = reset ? 1 : 0;
   }
 
-  std::unique_ptr<trace::TraceWriter> writer;
-  if (geometry.is_wide())
-    writer = std::make_unique<trace::TraceWriter>(out, geometry.wide_bus(),
-                                                  wopt);
-  else
-    writer = std::make_unique<trace::TraceWriter>(out, geometry.bus(), wopt);
-  const auto sink = encode ? dbi::make_encoded_trace_sink(*writer)
-                           : dbi::make_trace_sink(*writer);
+  trace::TraceWriter writer(out, geometry, wopt);
+  const auto sink = encode ? dbi::make_encoded_trace_sink(writer)
+                           : dbi::make_trace_sink(writer);
 
   const ObsOutput obs(args);
   obs.apply(spec);
@@ -834,7 +839,7 @@ int cmd_record(const Args& args) {
   obs.finish();
   write_report(session, args);
 
-  std::cerr << "recorded " << writer->bursts_written() << " "
+  std::cerr << "recorded " << writer.bursts_written() << " "
             << geometry.to_string() << " bursts (" << source_name << ")"
             << (encode ? " encoded with " +
                              (select ? select->describe()
@@ -855,16 +860,8 @@ int cmd_decode(const Args& args) {
   const std::string out = args.get("output", "");
   if (out.empty()) throw std::runtime_error("decode: -o OUTPUT.dbt is required");
 
-  const Geometry geometry = reader.wide()
-                                ? Geometry::of(reader.header().wide_config())
-                                : Geometry::of(reader.config());
-  std::unique_ptr<trace::TraceWriter> writer;
-  if (geometry.is_wide())
-    writer = std::make_unique<trace::TraceWriter>(out, geometry.wide_bus(),
-                                                  writer_options(args));
-  else
-    writer = std::make_unique<trace::TraceWriter>(out, geometry.bus(),
-                                                  writer_options(args));
+  const Geometry geometry = reader.geometry();
+  trace::TraceWriter writer(out, geometry, writer_options(args));
 
   SessionSpec spec;
   spec.direction = Direction::kDecode;
@@ -874,7 +871,7 @@ int cmd_decode(const Args& args) {
   obs.apply(spec);
   Session session(spec);
   const auto source = dbi::make_trace_source(reader);
-  const auto sink = dbi::make_trace_sink(*writer);
+  const auto sink = dbi::make_trace_sink(writer);
   const StreamStats totals = session.run(*source, *sink);
   obs.finish();
   write_report(session, args);
@@ -888,9 +885,7 @@ int cmd_verify(const Args& args) {
   if (args.positional.empty())
     throw std::runtime_error("verify: expected a binary trace file");
   const auto reader = trace::TraceReader::open(args.positional[0]);
-  const Geometry geometry = reader.wide()
-                                ? Geometry::of(reader.header().wide_config())
-                                : Geometry::of(reader.config());
+  const Geometry geometry = reader.geometry();
 
   const ObsOutput obs(args);
   VerifyReport report;
@@ -958,9 +953,7 @@ int cmd_replay(const Args& args) {
   if (args.positional.empty())
     throw std::runtime_error("replay: expected a binary trace file");
   const auto reader = trace::TraceReader::open(args.positional[0]);
-  const Geometry geometry = reader.wide()
-                                ? Geometry::of(reader.header().wide_config())
-                                : Geometry::of(reader.config());
+  const Geometry geometry = reader.geometry();
 
   const power::PodParams pod = parse_pod(args);
   const std::optional<SchemePolicy> select = parse_select_policy(args);
@@ -1018,12 +1011,10 @@ int cmd_inspect(const Args& args) {
     compressed_chunks += reader.chunk(c).compressed() ? 1 : 0;
     payload_on_disk += reader.chunk(c).payload_bytes;
   }
+  const Geometry geometry = reader.geometry();
   const std::uint64_t payload_raw =
       static_cast<std::uint64_t>(s.bursts) *
-      static_cast<std::uint64_t>(reader.header().bytes_per_burst());
-
-  const int groups =
-      reader.wide() ? reader.header().wide_config().groups() : 1;
+      static_cast<std::uint64_t>(geometry.bytes_per_burst());
 
   if (args.options.count("json") != 0) {
     // Machine-readable metadata: stable key names, numbers unquoted,
@@ -1046,7 +1037,7 @@ int cmd_inspect(const Args& args) {
     os << "{\n"
        << "  \"file\": \"" << esc(args.positional[0]) << "\",\n"
        << "  \"format\": \"dbt2\",\n"
-       << "  \"wide\": " << (reader.wide() ? "true" : "false") << ",\n";
+       << "  \"wide\": " << (geometry.is_wide() ? "true" : "false") << ",\n";
     if (reader.encoded()) {
       const auto scheme = scheme_from_tag(reader.header().enc_scheme);
       os << "  \"encoded\": {\"scheme\": \""
@@ -1059,9 +1050,9 @@ int cmd_inspect(const Args& args) {
     } else {
       os << "  \"encoded\": null,\n";
     }
-    os << "  \"width\": " << reader.config().width << ",\n"
-       << "  \"groups\": " << groups << ",\n"
-       << "  \"burst_length\": " << reader.config().burst_length << ",\n"
+    os << "  \"width\": " << geometry.width() << ",\n"
+       << "  \"groups\": " << geometry.groups() << ",\n"
+       << "  \"burst_length\": " << geometry.burst_length() << ",\n"
        << "  \"bursts\": " << s.bursts << ",\n"
        << "  \"chunks\": " << reader.chunk_count() << ",\n"
        << "  \"compressed_chunks\": " << compressed_chunks << ",\n"
@@ -1088,7 +1079,7 @@ int cmd_inspect(const Args& args) {
   const std::string format_name =
       "dbi-trace binary v" +
       std::to_string(static_cast<int>(reader.header().version));
-  table.add_row({"format", reader.wide()
+  table.add_row({"format", geometry.is_wide()
                                ? format_name + " (wide multi-group)"
                                : format_name});
   if (reader.encoded()) {
@@ -1102,10 +1093,9 @@ int cmd_inspect(const Args& args) {
              (reader.header().enc_policy ? ", reset per burst"
                                          : ", threaded state")});
   }
-  table.add_row({"width", std::to_string(reader.config().width)});
-  table.add_row({"dbi groups", std::to_string(groups)});
-  table.add_row({"burst length",
-                 std::to_string(reader.config().burst_length)});
+  table.add_row({"width", std::to_string(geometry.width())});
+  table.add_row({"dbi groups", std::to_string(geometry.groups())});
+  table.add_row({"burst length", std::to_string(geometry.burst_length())});
   table.add_row({"bursts", std::to_string(s.bursts)});
   table.add_row({"chunks", std::to_string(reader.chunk_count())});
   table.add_row({"compressed chunks", std::to_string(compressed_chunks)});
@@ -1518,20 +1508,9 @@ int client_data(const Args& args, const std::string& socket) {
 
   // Same corpus / generator wiring as `record`, so the offline and
   // served streams are burst-identical for one (scenario, seed).
-  std::unique_ptr<Source> source;
   std::string source_name;
-  const BusConfig generator_cfg =
-      geometry.is_wide() ? BusConfig{8, geometry.burst_length()}
-                         : geometry.bus();
-  if (args.options.count("corpus")) {
-    source_name = args.get("corpus", "");
-    source = dbi::make_corpus_source(source_name, total_bursts, seed);
-  } else {
-    auto generator =
-        make_source(args.get("source", "uniform"), generator_cfg, seed, args);
-    source_name = std::string(generator->name());
-    source = dbi::make_generator_source(std::move(generator), total_bursts);
-  }
+  const std::unique_ptr<Source> source =
+      payload_source(args, geometry, total_bursts, seed, source_name);
   source->bind(geometry);
 
   // Encode mode with -o: write the same encoded trace `record
@@ -1545,11 +1524,7 @@ int client_data(const Args& args, const std::string& socket) {
     wopt.enc_scheme = scheme_to_tag(scheme);
     wopt.enc_lanes = static_cast<std::uint16_t>(lanes);
     wopt.enc_policy = reset ? 1 : 0;
-    if (geometry.is_wide())
-      writer = std::make_unique<trace::TraceWriter>(out, geometry.wide_bus(),
-                                                    wopt);
-    else
-      writer = std::make_unique<trace::TraceWriter>(out, geometry.bus(), wopt);
+    writer = std::make_unique<trace::TraceWriter>(out, geometry, wopt);
   }
 
   const auto bpb = static_cast<std::size_t>(geometry.bytes_per_burst());
@@ -1584,11 +1559,7 @@ int client_data(const Args& args, const std::string& socket) {
         transitions += r.ack.transitions;
         if (writer) {
           tx.resize(slice.size());
-          if (geometry.is_wide())
-            applier.apply_packed_wide(slice, r.ack.masks, geometry.wide_bus(),
-                                      tx);
-          else
-            applier.apply_packed(slice, r.ack.masks, geometry.bus(), tx);
+          applier.apply_packed(slice, r.ack.masks, geometry, tx);
           writer->write_encoded(tx, r.ack.masks);
         }
       }
@@ -1627,9 +1598,7 @@ int client_decode(const Args& args, const std::string& socket) {
   const std::string out = args.get("output", "");
   if (out.empty())
     throw std::runtime_error("client: --decode requires -o OUTPUT.dbt");
-  const Geometry geometry = reader.wide()
-                                ? Geometry::of(reader.header().wide_config())
-                                : Geometry::of(reader.config());
+  const Geometry geometry = reader.geometry();
   const long req_bursts = args.get_long("req-bursts", 1024);
   if (req_bursts < 1)
     throw UsageError("client: --req-bursts must be >= 1");
@@ -1641,13 +1610,7 @@ int client_decode(const Args& args, const std::string& socket) {
   copt.kernel = args.get("kernel", "");
   auto client = serve::Client::connect(copt);
 
-  std::unique_ptr<trace::TraceWriter> writer;
-  if (geometry.is_wide())
-    writer = std::make_unique<trace::TraceWriter>(out, geometry.wide_bus(),
-                                                  writer_options(args));
-  else
-    writer = std::make_unique<trace::TraceWriter>(out, geometry.bus(),
-                                                  writer_options(args));
+  trace::TraceWriter writer(out, geometry, writer_options(args));
 
   auto source = make_trace_source(reader);
   source->bind(geometry);
@@ -1670,12 +1633,12 @@ int client_decode(const Args& args, const std::string& socket) {
       if (r.outcome == serve::Client::Outcome::kBusy)
         throw_busy(client.max_queue_requests());
       latency.add(t0);
-      writer->write_packed(r.payload);
+      writer.write_packed(r.payload);
       bursts_done += n;
       off += n;
     }
   }
-  writer->finish();
+  writer.finish();
   std::cerr << "decoded " << bursts_done << " " << geometry.to_string()
             << " bursts via dbid " << client.server_build() << " to " << out
             << "\n"
