@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -52,11 +53,13 @@ void append_quoted(std::string& out, const std::string& s) {
   return out + ".json";
 }
 
-[[nodiscard]] std::string compute_cell(const LakeReader& lake,
-                                       std::size_t member_index,
+/// The report line of one cell: the skipped note of an encoded member
+/// (`reader` is null then), or the totals of one Session of `arm` over
+/// the opened member `reader`.
+[[nodiscard]] std::string compute_cell(const LakeMember& m,
+                                       const trace::TraceReader* reader,
                                        const SweepArm& arm,
                                        const SweepOptions& opt) {
-  const LakeMember& m = lake.members()[member_index];
   std::string out = "{\"arm\":";
   append_quoted(out, arm.label);
   out += ",\"member\":";
@@ -69,9 +72,6 @@ void append_quoted(std::string& out, const std::string& s) {
     return out;
   }
 
-  const trace::TraceReader reader =
-      trace::TraceReader::open(lake.member_path(member_index),
-                               opt.verify_crc);
   dbi::SessionSpec spec;
   spec.policy = arm.policy;
   spec.geometry = m.geometry();
@@ -80,7 +80,7 @@ void append_quoted(std::string& out, const std::string& s) {
   spec.weights = arm.weights;
   spec.state_policy = opt.state_policy;
   dbi::Session session(spec);
-  const auto source = dbi::make_trace_source(reader);
+  const auto source = dbi::make_trace_source(*reader);
   const dbi::StreamStats totals = session.run(*source);
   const sim::ReplaySummary s = sim::summarize_replay(totals, opt.pod);
 
@@ -99,47 +99,67 @@ void append_quoted(std::string& out, const std::string& s) {
   return out;
 }
 
-/// Computes the cell, going through the per-cell resume cache when one
-/// is configured: an existing cell file is reused verbatim, a fresh
-/// result is persisted (tmp + rename, so interrupted writes never
-/// resume as corrupt cells).
-[[nodiscard]] std::string cell_json(const LakeReader& lake,
-                                    std::size_t member_index,
-                                    const SweepArm& arm,
-                                    const SweepOptions& opt) {
-  const bool cached = !opt.cells_dir.empty();
-  const std::string path =
-      cached ? opt.cells_dir + "/" +
-                   cell_file_name(arm.label,
-                                  lake.members()[member_index].name)
-             : std::string();
-  if (cached) {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      while (!text.empty() && (text.back() == '\n' || text.back() == '\r'))
-        text.pop_back();
-      if (!text.empty()) return text;
-    }
-  }
-  std::string text = compute_cell(lake, member_index, arm, opt);
-  if (cached) {
-    const std::string tmp = path + ".tmp";
-    {
-      std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-      if (!os) throw LakeError("lake: cannot write sweep cell " + tmp);
-      os << text << '\n';
-      os.flush();
-      if (!os) throw LakeError("lake: write failed for sweep cell " + tmp);
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec)
-      throw LakeError("lake: cannot place sweep cell " + path + " (" +
-                      ec.message() + ")");
-  }
+/// A cached cell's text, or empty when the file is missing or empty.
+[[nodiscard]] std::string read_cell(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return {};
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  while (!text.empty() && (text.back() == '\n' || text.back() == '\r'))
+    text.pop_back();
   return text;
+}
+
+/// Persists a fresh cell (tmp + rename, so interrupted writes never
+/// resume as corrupt cells).
+void write_cell(const std::string& path, const std::string& text) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    if (!os) throw LakeError("lake: cannot write sweep cell " + tmp);
+    os << text << '\n';
+    os.flush();
+    if (!os) throw LakeError("lake: write failed for sweep cell " + tmp);
+  }
+  std::error_code ec;
+  fs::rename(tmp, path, ec);
+  if (ec)
+    throw LakeError("lake: cannot place sweep cell " + path + " (" +
+                    ec.message() + ")");
+}
+
+/// Every cell of the matrix, arm-major (cells[a * members + i]).
+/// Cached cells are taken verbatim from `cells_dir`; each member with
+/// an uncached payload cell is then opened once (open_member: one CRC
+/// pass and the catalog check) and every uncached arm runs over that
+/// one reader, so a fully cached member is never opened.
+[[nodiscard]] std::vector<std::string> sweep_cells(const LakeReader& lake,
+                                                   const SweepOptions& opt) {
+  const std::vector<LakeMember>& members = lake.members();
+  const std::size_t n = members.size();
+  const bool cached = !opt.cells_dir.empty();
+  const auto path = [&](std::size_t a, std::size_t i) {
+    return opt.cells_dir + "/" +
+           cell_file_name(opt.arms[a].label, members[i].name);
+  };
+  std::vector<std::string> cells(opt.arms.size() * n);
+  if (cached)
+    for (std::size_t a = 0; a < opt.arms.size(); ++a)
+      for (std::size_t i = 0; i < n; ++i)
+        cells[a * n + i] = read_cell(path(a, i));
+
+  for (std::size_t i = 0; i < n; ++i) {
+    std::unique_ptr<trace::TraceReader> reader;
+    for (std::size_t a = 0; a < opt.arms.size(); ++a) {
+      std::string& cell = cells[a * n + i];
+      if (!cell.empty()) continue;
+      if (!members[i].encoded() && !reader)
+        reader = lake.open_member(i, opt.verify_crc);
+      cell = compute_cell(members[i], reader.get(), opt.arms[a], opt);
+      if (cached) write_cell(path(a, i), cell);
+    }
+  }
+  return cells;
 }
 
 }  // namespace
@@ -192,14 +212,11 @@ std::string run_sweep(const LakeReader& lake, const SweepOptions& options) {
   }
   out += "]";
   out += ",\"cells\":[";
-  bool first = true;
-  for (const SweepArm& arm : options.arms) {
-    for (std::size_t i = 0; i < lake.members().size(); ++i) {
-      if (!first) out += ",";
-      first = false;
-      out += '\n';
-      out += cell_json(lake, i, arm, options);
-    }
+  const std::vector<std::string> cells = sweep_cells(lake, options);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    if (c) out += ",";
+    out += '\n';
+    out += cells[c];
   }
   out += "]}\n";
   return out;

@@ -9,9 +9,19 @@
 // no timestamps, no throughput, fixed-precision numbers — so two runs
 // over the same lake are byte-identical (the CI determinism gate).
 //
+// Evaluation is member-major: every member with an uncached payload
+// cell is opened once per sweep through LakeReader::open_member (one
+// whole-file CRC pass plus the catalog check), and every uncached arm
+// runs over that one reader in its own Session. Cells are still
+// emitted arm-major, so the report does not depend on the order of
+// evaluation. A member rewritten after the catalog was opened fails
+// the sweep with LakeError rather than being swept under its old
+// record.
+//
 // Resumable per cell: with `cells_dir` set, every finished cell's JSON
 // is persisted as its own file and reused verbatim on the next run,
-// so an interrupted hours-scale campaign restarts where it stopped.
+// so an interrupted hours-scale campaign restarts where it stopped. A
+// member whose cells are all cached is never opened.
 #pragma once
 
 #include <string>
@@ -46,8 +56,9 @@ struct SweepOptions {
 
 /// Runs the full arms x members matrix and returns the consolidated
 /// JSON report. Encoded members become deterministic "skipped" cells
-/// (replay re-encodes payload traces). Throws LakeError / session
-/// errors on real failures.
+/// (replay re-encodes payload traces) and are never opened. Throws
+/// LakeError (stale or unreadable member, cache I/O) / TraceError /
+/// session errors on real failures.
 [[nodiscard]] std::string run_sweep(const LakeReader& lake,
                                     const SweepOptions& options);
 

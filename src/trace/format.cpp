@@ -123,26 +123,46 @@ void rle_compress(std::span<const std::uint8_t> in,
 
 void rle_decompress(std::span<const std::uint8_t> in,
                     std::span<std::uint8_t> out) {
+  // Wildcopy: a run whose length rounded up to kStep still fits inside
+  // `out` (and, for a literal, inside `in`) moves in fixed kStep-byte
+  // steps. The spill past the run stays inside `out`, and the next
+  // token overwrites it; runs near either end take the exact path.
+  constexpr std::size_t kStep = 32;
+  const std::uint8_t* const src = in.data();
+  std::uint8_t* const dst = out.data();
+  const std::size_t in_size = in.size();
+  const std::size_t out_size = out.size();
   std::size_t ip = 0;
   std::size_t op = 0;
-  while (ip < in.size()) {
-    const std::uint8_t c = in[ip++];
+  while (ip < in_size) {
+    const std::uint8_t c = src[ip++];
     const std::size_t run = static_cast<std::size_t>(c & 0x7FU) + 1;
-    if (op + run > out.size())
+    if (run > out_size - op)
       throw TraceError("rle: decoded size exceeds chunk payload size");
+    const std::size_t steps = (run + kStep - 1) / kStep;
+    const bool out_fits = steps * kStep <= out_size - op;
     if (c & 0x80U) {
-      std::memset(out.data() + op, 0, run);
+      if (out_fits) {
+        for (std::size_t k = 0; k < steps; ++k)
+          std::memset(dst + op + k * kStep, 0, kStep);
+      } else {
+        std::memset(dst + op, 0, run);
+      }
     } else {
-      if (in.size() - ip < run)
-        throw TraceError("rle: truncated literal run");
-      std::memcpy(out.data() + op, in.data() + ip, run);
+      if (in_size - ip < run) throw TraceError("rle: truncated literal run");
+      if (out_fits && steps * kStep <= in_size - ip) {
+        for (std::size_t k = 0; k < steps; ++k)
+          std::memcpy(dst + op + k * kStep, src + ip + k * kStep, kStep);
+      } else {
+        std::memcpy(dst + op, src + ip, run);
+      }
       ip += run;
     }
     op += run;
   }
-  if (op != out.size())
+  if (op != out_size)
     throw TraceError("rle: decoded size " + std::to_string(op) +
-                     " != expected " + std::to_string(out.size()));
+                     " != expected " + std::to_string(out_size));
 }
 
 // --------------------------------------------------------------- headers

@@ -190,7 +190,12 @@ void rle_compress(std::span<const std::uint8_t> in,
                   std::vector<std::uint8_t>& out);
 
 /// Decodes into `out`, which must be filled exactly; short, overlong and
-/// truncated token streams throw TraceError.
+/// truncated token streams throw TraceError. Runs are moved in fixed
+/// 32-byte steps wherever the rounded-up run fits inside `out` (and,
+/// for a literal, inside `in`), so a token may write up to 31 bytes
+/// past its own run. Those bytes always lie inside `out` and are
+/// overwritten by later tokens, so a successful decode leaves exactly
+/// the decoded bytes; after a throw `out` holds unspecified bytes.
 void rle_decompress(std::span<const std::uint8_t> in,
                     std::span<std::uint8_t> out);
 

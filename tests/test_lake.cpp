@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -397,6 +398,93 @@ TEST(LakeSweep, DeterministicAndResumable) {
   SweepOptions dup = opt;
   dup.arms.push_back({"ac", SchemePolicy::fixed(Scheme::kAc), {}});
   EXPECT_THROW((void)run_sweep(reader, dup), std::invalid_argument);
+}
+
+/// The JSON object of cell (arm, member) in a sweep report (its line
+/// without the "," or "]}" that follows it), or empty.
+std::string cell_line(const std::string& report, const std::string& arm,
+                      const std::string& member) {
+  const std::string key =
+      "{\"arm\":\"" + arm + "\",\"member\":\"" + member + "\"";
+  std::istringstream in(report);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(key, 0) != 0) continue;
+    if (line.ends_with(",")) line.pop_back();
+    if (line.ends_with("]}")) line.resize(line.size() - 2);
+    return line;
+  }
+  return {};
+}
+
+TEST(LakeSweep, MemberMajorMatchesPerArmSweeps) {
+  const TempLake lake = build_lake();
+  const LakeReader reader = LakeReader::open(lake.dir);
+
+  SweepOptions opt;
+  opt.lanes = 4;
+  opt.arms.push_back({"dc", SchemePolicy::fixed(Scheme::kDc), {}});
+  opt.arms.push_back({"ac", SchemePolicy::fixed(Scheme::kAc), {}});
+  auto predicted = SchemePolicy::adaptive_predicted(
+      {Scheme::kDc, Scheme::kAc, Scheme::kAcDc});
+  predicted.set_block_bursts(32);
+  opt.arms.push_back({"select-predict", predicted, {}});
+  const std::string all = run_sweep(reader, opt);
+
+  for (const SweepArm& arm : opt.arms) {
+    SweepOptions one = opt;
+    one.arms = {arm};
+    const std::string alone = run_sweep(reader, one);
+    for (const LakeMember& m : reader.members()) {
+      const std::string line = cell_line(alone, arm.label, m.name);
+      ASSERT_FALSE(line.empty()) << arm.label << " x " << m.name;
+      EXPECT_EQ(cell_line(all, arm.label, m.name), line)
+          << arm.label << " x " << m.name;
+    }
+  }
+}
+
+TEST(LakeSweep, PartialCacheReproducesReport) {
+  const TempLake lake = build_lake();
+  const LakeReader reader = LakeReader::open(lake.dir);
+
+  SweepOptions opt;
+  opt.arms.push_back({"dc", SchemePolicy::fixed(Scheme::kDc), {}});
+  opt.arms.push_back({"ac", SchemePolicy::fixed(Scheme::kAc), {}});
+  const std::string once = run_sweep(reader, opt);
+
+  SweepOptions cached = opt;
+  cached.cells_dir = lake.dir + "/cells";
+  EXPECT_EQ(run_sweep(reader, cached), once);
+
+  // One cell of each member gone: only those are recomputed, and
+  // persisted again.
+  fs::remove(cached.cells_dir + "/dc__a.dbt.json");
+  fs::remove(cached.cells_dir + "/ac__w.dbt.json");
+  fs::remove(cached.cells_dir + "/ac__b.dbt.json");
+  EXPECT_EQ(run_sweep(reader, cached), once);
+  EXPECT_TRUE(fs::exists(cached.cells_dir + "/ac__w.dbt.json"));
+
+  // A member whose cells are all cached is never opened.
+  fs::remove(lake.dir + "/b.dbt");
+  EXPECT_EQ(run_sweep(reader, cached), once);
+  // Without its cells it must be opened, and the missing file fails.
+  fs::remove(cached.cells_dir + "/ac__b.dbt.json");
+  EXPECT_ANY_THROW((void)run_sweep(reader, cached));
+}
+
+TEST(LakeSweep, RewrittenMemberFailsAsStale) {
+  const TempLake lake = build_lake();
+  const LakeReader reader = LakeReader::open(lake.dir);
+
+  // The member changes after the catalog was opened: a valid trace of
+  // the same geometry with a different burst count.
+  record_trace(lake.dir + "/b.dbt", Geometry::narrow(8, 8), 250, 21, 48);
+  SweepOptions opt;
+  opt.arms.push_back({"ac", SchemePolicy::fixed(Scheme::kAc), {}});
+  EXPECT_THROW((void)run_sweep(reader, opt), LakeError);
+  opt.verify_crc = false;
+  EXPECT_THROW((void)run_sweep(reader, opt), LakeError);
 }
 
 }  // namespace

@@ -348,7 +348,8 @@ TEST(WideReplay, MatchesScalarPerGroupForEverySchemeWithMasks) {
   const CostWeights w{0.56, 0.44};
   for (const int width : {16, 32, 64, 12}) {
     const WideBusConfig cfg{width, 8};
-    const auto payload = wide_payload(cfg, 150, 21 + static_cast<std::uint64_t>(width));
+    const auto payload =
+        wide_payload(cfg, 150, 21 + static_cast<std::uint64_t>(width));
     for (Scheme s : {Scheme::kRaw, Scheme::kDc, Scheme::kAc, Scheme::kAcDc,
                      Scheme::kOpt, Scheme::kOptFixed}) {
       const auto reader = wide_reader_for(cfg, payload);

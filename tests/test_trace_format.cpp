@@ -2,11 +2,13 @@
 // and rejection of corrupted / truncated files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <fstream>
 #include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "trace/convert.hpp"
@@ -238,7 +240,8 @@ TEST(TraceFormat, WideFooterStatsMatchDirectAccounting) {
       const Word gmask = cfg.group_config(g).dq_mask();
       Word last = gmask;  // all-ones boundary per burst
       for (int t = 0; t < cfg.burst_length; ++t) {
-        const Word b = payload[j * bb + static_cast<std::size_t>(t * groups + g)];
+        const Word b =
+            payload[j * bb + static_cast<std::size_t>(t * groups + g)];
         zeros += gw - std::popcount(b);
         transitions += std::popcount((last ^ b) & gmask);
         last = b;
@@ -310,7 +313,8 @@ TEST(TraceFormat, WideWriterRejectsMisuse) {
   // Payload size and remainder-group range are validated per burst.
   const std::vector<std::uint8_t> short_bytes(7, 0);
   EXPECT_THROW(writer.write_packed(short_bytes), std::invalid_argument);
-  std::vector<std::uint8_t> overflow(static_cast<std::size_t>(cfg.bytes_per_burst()), 0);
+  std::vector<std::uint8_t> overflow(
+      static_cast<std::size_t>(cfg.bytes_per_burst()), 0);
   overflow[1] = 0x20;  // beat 0, group 1: 4-lane group takes 0x0..0xF
   EXPECT_THROW(writer.write_packed(overflow), std::invalid_argument);
 }
@@ -452,6 +456,152 @@ TEST(TraceFormat, Crc32MatchesByteTableReference) {
       ASSERT_EQ(split.value(), want) << "offset " << offset << " len " << len;
     }
   }
+}
+
+TEST(TraceFormat, RleDecodeMatchesBytewiseReference) {
+  // The one-byte-per-step decoder the 32-byte wildcopy replaces.
+  const auto reference = [](std::span<const std::uint8_t> in,
+                            std::span<std::uint8_t> out) {
+    std::size_t ip = 0;
+    std::size_t op = 0;
+    while (ip < in.size()) {
+      const std::uint8_t c = in[ip++];
+      const std::size_t run = static_cast<std::size_t>(c & 0x7FU) + 1;
+      if (op + run > out.size())
+        throw TraceError("rle: decoded size exceeds chunk payload size");
+      if (c & 0x80U) {
+        for (std::size_t k = 0; k < run; ++k) out[op + k] = 0;
+      } else {
+        if (in.size() - ip < run)
+          throw TraceError("rle: truncated literal run");
+        for (std::size_t k = 0; k < run; ++k) out[op + k] = in[ip + k];
+        ip += run;
+      }
+      op += run;
+    }
+    if (op != out.size())
+      throw TraceError("rle: decoded size " + std::to_string(op) +
+                       " != expected " + std::to_string(out.size()));
+  };
+  // Both decoders fill differently pre-set buffers of `out_size`: they
+  // must both succeed with the same bytes, or both throw the same error,
+  // and the decoder must leave a guard band past `out` untouched.
+  constexpr std::size_t kGuard = 64;
+  const auto agree = [&reference](const std::vector<std::uint8_t>& in,
+                                  std::size_t out_size) {
+    std::vector<std::uint8_t> want(out_size, 0xA5);
+    std::vector<std::uint8_t> guarded(out_size + kGuard, 0x5A);
+    const std::span<std::uint8_t> got(guarded.data(), out_size);
+    std::string want_error;
+    std::string got_error;
+    try {
+      reference(in, want);
+    } catch (const TraceError& e) {
+      want_error = e.what();
+    }
+    try {
+      rle_decompress(in, got);
+    } catch (const TraceError& e) {
+      got_error = e.what();
+    }
+    if (want_error != got_error)
+      return ::testing::AssertionFailure()
+             << "reference threw \"" << want_error << "\", decoder threw \""
+             << got_error << "\"";
+    if (std::any_of(guarded.begin() + static_cast<std::ptrdiff_t>(out_size),
+                    guarded.end(), [](std::uint8_t b) { return b != 0x5A; }))
+      return ::testing::AssertionFailure() << "wrote past the output";
+    if (want_error.empty() && !std::equal(want.begin(), want.end(),
+                                          got.begin(), got.end()))
+      return ::testing::AssertionFailure() << "decoded bytes differ";
+    return ::testing::AssertionSuccess();
+  };
+
+  std::uint64_t x = 0x2545F4914F6CDD1DULL;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  // Appends one token; literal bytes are odd, so never zero fill.
+  const auto token = [&next](std::vector<std::uint8_t>& in, bool zeros,
+                             std::size_t run) {
+    in.push_back(static_cast<std::uint8_t>((zeros ? 0x80U : 0U) | (run - 1)));
+    if (zeros) return;
+    for (std::size_t k = 0; k < run; ++k)
+      in.push_back(static_cast<std::uint8_t>(next() | 1U));
+  };
+
+  // Every run length of both kinds, ending 0..40 bytes before the end
+  // of `out` (a zero-run tail) and of `in` (a literal tail), plus the
+  // same stream with one byte too few or too many of `out`, and with
+  // its last byte cut.
+  for (const bool zeros : {false, true}) {
+    for (std::size_t run = 1; run <= 128; ++run) {
+      for (std::size_t tail = 0; tail <= 40; ++tail) {
+        for (const bool in_tail : {false, true}) {
+          std::vector<std::uint8_t> in;
+          const std::size_t head = 1 + (run + tail) % 7;
+          token(in, false, head);
+          token(in, zeros, run);
+          std::size_t out_size = head + run;
+          if (!in_tail && tail > 0) {
+            token(in, true, tail);
+            out_size += tail;
+          } else if (in_tail && tail == 1) {
+            token(in, true, 1);
+            out_size += 1;
+          } else if (in_tail && tail > 1) {
+            token(in, false, tail - 1);
+            out_size += tail - 1;
+          }
+          const auto where = [&] {
+            return std::string(zeros ? "zero" : "literal") + " run " +
+                   std::to_string(run) + ", " + (in_tail ? "in" : "out") +
+                   " tail " + std::to_string(tail);
+          };
+          ASSERT_TRUE(agree(in, out_size)) << where();
+          ASSERT_TRUE(agree(in, out_size - 1)) << where() << ", overrun";
+          ASSERT_TRUE(agree(in, out_size + 1)) << where() << ", underfill";
+          in.pop_back();
+          ASSERT_TRUE(agree(in, out_size)) << where() << ", cut";
+        }
+      }
+    }
+  }
+
+  // Random token streams: exact, short and long outputs, and cuts.
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<std::uint8_t> in;
+    std::size_t out_size = 0;
+    const int tokens = 1 + static_cast<int>(next() % 40);
+    for (int t = 0; t < tokens; ++t) {
+      const bool zeros = (next() & 1U) != 0;
+      const std::size_t cap = (next() & 3U) == 0 ? 128 : 40;
+      const std::size_t run = 1 + next() % cap;
+      token(in, zeros, run);
+      out_size += run;
+    }
+    ASSERT_TRUE(agree(in, out_size)) << "trial " << trial;
+    const std::size_t delta = 1 + next() % 40;
+    ASSERT_TRUE(agree(in, out_size + delta)) << "trial " << trial;
+    ASSERT_TRUE(agree(in, out_size - std::min(delta, out_size)))
+        << "trial " << trial;
+    in.resize(next() % in.size());
+    ASSERT_TRUE(agree(in, out_size)) << "trial " << trial << " cut";
+  }
+
+  // Each malformed kind throws on its own.
+  std::vector<std::uint8_t> out(100);
+  const std::vector<std::uint8_t> overrun = {0x80U | 127U};
+  EXPECT_THROW(rle_decompress(overrun, out), TraceError);
+  const std::vector<std::uint8_t> truncated = {5, 1, 2, 3};
+  EXPECT_THROW(rle_decompress(truncated, std::span(out).first(6)),
+               TraceError);
+  const std::vector<std::uint8_t> underfill = {0x80U | 3U};
+  EXPECT_THROW(rle_decompress(underfill, std::span(out).first(10)),
+               TraceError);
 }
 
 TEST(TraceFormat, TextBinaryConversionIsLossless) {
