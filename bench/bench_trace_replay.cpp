@@ -11,7 +11,9 @@
 //       g % lanes), so both paths encode the very same per-lane burst
 //       sequences.
 // A streaming section records a zeros-heavy corpus with RLE compression
-// and replays it, reporting the on-disk ratio and throughput.
+// and replays it, reporting the on-disk ratio and throughput. A record
+// section times TraceWriter alone (RLE on and off, zeros-heavy and
+// uniform bytes), next to the replay rows.
 // Emits one JSON object (BENCH_*.json trajectory format).
 //
 //   ./bench_trace_replay [writes-per-lane] [lanes] [workers] [repeats]
@@ -22,7 +24,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <ostream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/session.hpp"
@@ -54,6 +59,22 @@ std::string temp_trace_path(const char* tag) {
   path += ".dbt";
   return path;
 }
+
+/// An output stream that drops everything written to it, so a writer
+/// bench times the writer and not the disk.
+class NullStream : public std::ostream {
+ public:
+  NullStream() : std::ostream(&buf_) {}
+
+ private:
+  struct Buf : std::streambuf {
+    int_type overflow(int_type c) override { return traits_type::not_eof(c); }
+    std::streamsize xsputn(const char*, std::streamsize n) override {
+      return n;
+    }
+  };
+  Buf buf_;
+};
 
 struct SchemeReport {
   std::string scheme;
@@ -242,6 +263,50 @@ int main(int argc, char** argv) {
   }
   std::remove(sparse_path.c_str());
 
+  // Record: the write layer alone. TraceWriter takes the x8 payload in
+  // 32 KiB write_packed calls (Session's chunk size) into a stream that
+  // drops its bytes, with RLE on and off, on the zeros-heavy corpus and
+  // on the uniform bytes. Best of `repeats`; informational, not gated.
+  struct RecordRow {
+    const char* corpus;
+    bool rle;
+    double mb_per_s;
+  };
+  std::vector<RecordRow> record_rows;
+  {
+    std::vector<std::uint8_t> sparse_bytes;
+    sparse_bytes.reserve(data.size());
+    auto src = workload::make_corpus_source("sparse-zeros", ccfg.lane, 9);
+    while (sparse_bytes.size() < data.size()) {
+      const Burst burst = src->next();
+      for (const Word word : burst.words())
+        sparse_bytes.push_back(static_cast<std::uint8_t>(word));
+    }
+    NullStream sink;
+    constexpr std::size_t kSpan = 32 * 1024;
+    for (const auto& [corpus, bytes] :
+         {std::pair<const char*, const std::vector<std::uint8_t>*>{
+              "sparse-zeros", &sparse_bytes},
+          {"uniform", &data}})
+      for (const bool rle : {true, false}) {
+        double best = 0;
+        for (int r = 0; r < repeats; ++r) {
+          trace::TraceWriterOptions wopt;
+          wopt.compress = rle;
+          const auto t0 = std::chrono::steady_clock::now();
+          trace::TraceWriter writer(sink, ccfg.lane, wopt);
+          const std::span<const std::uint8_t> all(*bytes);
+          for (std::size_t i = 0; i < all.size(); i += kSpan)
+            writer.write_packed(
+                all.subspan(i, std::min(kSpan, all.size() - i)));
+          writer.finish();
+          best = std::max(best, static_cast<double>(all.size()) /
+                                    seconds_since(t0) / 1e6);
+        }
+        record_rows.push_back({corpus, rle, best});
+      }
+  }
+
   std::printf("{\n  \"bench\": \"trace_replay\",\n");
   std::printf("  \"config\": {\"width\": %d, \"burst_length\": %d, "
               "\"lanes\": %d, \"writes_per_lane\": %ld, \"bursts\": %lld, "
@@ -263,6 +328,14 @@ int main(int argc, char** argv) {
               "\"replay_mbursts_per_s\": %.2f},\n",
               static_cast<long long>(sparse_bursts), sparse_ratio,
               sparse_mbps);
+  std::printf("  \"record\": [\n");
+  for (std::size_t i = 0; i < record_rows.size(); ++i)
+    std::printf("    {\"corpus\": \"%s\", \"rle\": %s, "
+                "\"write_mb_per_s\": %.1f}%s\n",
+                record_rows[i].corpus, record_rows[i].rle ? "true" : "false",
+                record_rows[i].mb_per_s,
+                i + 1 < record_rows.size() ? "," : "");
+  std::printf("  ],\n");
   std::printf("  \"obs\": {\"scheme\": \"DBI AC\", "
               "\"off_mbursts_per_s\": %.2f, \"full_mbursts_per_s\": %.2f, "
               "\"obs_vs_off\": %.3f, \"spans_retained\": %lld},\n",

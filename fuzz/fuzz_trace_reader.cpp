@@ -4,11 +4,47 @@
 // decompression, unpaired mask rider) into a crash. CRC verification
 // is off so the structural validators themselves are exercised rather
 // than a checksum front door; the CRC path is covered by unit tests.
+// Every chunk payload the reader expands also goes back through the
+// compressor: rle_decompress(rle_compress(p)) must give p back, so the
+// word-scanning compressor is fuzzed against the decoder on whatever
+// bytes hostile files decode to.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <span>
 #include <vector>
 
+#include "trace/format.hpp"
 #include "trace/trace_reader.hpp"
+
+namespace {
+
+/// Aborts unless `payload` compresses and decodes back to itself (a
+/// TraceError here is a find too: the input is the compressor's own).
+void check_rle_round_trip(std::span<const std::uint8_t> payload,
+                          std::vector<std::uint8_t>& packed,
+                          std::vector<std::uint8_t>& unpacked) {
+  packed.clear();
+  dbi::trace::rle_compress(payload, packed);
+  unpacked.assign(payload.size(), 0);
+  try {
+    dbi::trace::rle_decompress(packed, unpacked);
+  } catch (const dbi::trace::TraceError& e) {
+    std::fprintf(stderr,
+                 "fuzz_trace_reader: rle_compress output rejected: %s\n",
+                 e.what());
+    std::abort();
+  }
+  if (!std::equal(unpacked.begin(), unpacked.end(), payload.begin(),
+                  payload.end())) {
+    std::fprintf(stderr, "fuzz_trace_reader: RLE round trip is lossy\n");
+    std::abort();
+  }
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -23,8 +59,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     std::vector<std::uint8_t> scratch;
     std::vector<std::uint8_t> mask_scratch;
     std::vector<std::uint64_t> mask_words;
+    std::vector<std::uint8_t> packed;
+    std::vector<std::uint8_t> unpacked;
     for (std::size_t c = 0; c < reader.chunk_count(); ++c) {
-      (void)reader.chunk_payload(c, scratch);
+      check_rle_round_trip(reader.chunk_payload(c, scratch), packed,
+                           unpacked);
       if (reader.chunk(c).has_mask()) {
         try {
           (void)reader.chunk_masks(c, mask_scratch, mask_words);

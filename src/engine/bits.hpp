@@ -1,11 +1,18 @@
-// Shared SWAR primitives of the encode and decode kernels. These are
-// subtle enough that two private copies would silently diverge; both
-// BatchEncoder and BatchDecoder include this single definition.
+// Shared SWAR primitives of the encode and decode kernels and the trace
+// writer. These are subtle enough that two private copies would
+// silently diverge; every user includes this single definition.
 #pragma once
 
 #include <cstdint>
 
 namespace dbi::engine {
+
+/// Per-byte popcount: byte k of the result = popcount(byte k of v).
+constexpr std::uint64_t byte_popcount(std::uint64_t v) {
+  v -= (v >> 1) & 0x5555555555555555ULL;
+  v = (v & 0x3333333333333333ULL) + ((v >> 2) & 0x3333333333333333ULL);
+  return (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+}
 
 /// Transposes a u64 viewed as an 8x8 bit matrix (row k = byte k):
 /// result byte r bit k = input byte k bit r (Hacker's Delight 7-2).

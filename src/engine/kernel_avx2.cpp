@@ -6,7 +6,8 @@
 // when CMake defined DBI_HAVE_AVX2; runtime CPUID gates selection.
 //
 // Envelope (everything else falls back to the portable reference):
-//   * encode_fixed8: DC / AC / ACDC at burst_length 8 (4 bursts/ymm);
+//   * encode_fixed8: RAW / DC / AC / ACDC at burst_length 8 (4
+//     bursts/ymm; RAW sets no flags and counts no DBI line);
 //   * decode_fixed8: width 8, burst_length % 8 == 0;
 //   * decode_wide8:  burst_length % 8 == 0.
 // The trellis entry (encode_trellis8) always runs the portable
@@ -65,14 +66,14 @@ class Avx2Kernel final : public KernelVariant {
   [[nodiscard]] std::string_view name() const override { return "avx2-fixed8"; }
   [[nodiscard]] KernelIsa isa() const override { return KernelIsa::kAvx2; }
   [[nodiscard]] std::string_view envelope() const override {
-    return "DC/AC/ACDC encode at burst length 8 (4 bursts per vector); "
+    return "RAW/DC/AC/ACDC encode at burst length 8 (4 bursts per vector); "
            "width-8 and full-group wide decode at burst lengths divisible "
            "by 8";
   }
 
-  [[nodiscard]] bool supports_fixed8(Fixed8Rule rule,
+  [[nodiscard]] bool supports_fixed8(Fixed8Rule /*every rule*/,
                                      int burst_length) const override {
-    return rule != Fixed8Rule::kRaw && burst_length == 8;
+    return burst_length == 8;
   }
   [[nodiscard]] bool supports_decode8(const dbi::BusConfig& cfg)
       const override {
@@ -102,13 +103,17 @@ class Avx2Kernel final : public KernelVariant {
     dbi::BusState& state = lanes.at(0);
     std::size_t vec = 0;  // bursts the vector loops take, 4 per ymm
     dbi::BurstStats totals;
-    if (burst_length == 8 && rule != Fixed8Rule::kRaw) {
+    if (burst_length == 8) {
       vec = bursts & ~std::size_t{3};
-      totals = reset_per_burst
-                   ? encode_reset(rule, bytes, vec, stride, state, results,
-                                  results_stride)
-                   : encode_threaded(rule, bytes, vec, stride, state,
-                                     results, results_stride);
+      // RAW is decided here, once: it gets its own loops, so the
+      // DC/AC/ACDC loops carry no RAW test.
+      const auto loop = reset_per_burst
+                            ? (rule == Fixed8Rule::kRaw ? encode_reset<true>
+                                                        : encode_reset<false>)
+                            : (rule == Fixed8Rule::kRaw
+                                   ? encode_threaded<true>
+                                   : encode_threaded<false>);
+      totals = loop(rule, bytes, vec, stride, state, results, results_stride);
     }
     // Tail bursts and geometries outside the envelope: the portable
     // reference, carrying the state the vector loop left.
@@ -245,7 +250,10 @@ class Avx2Kernel final : public KernelVariant {
   }
 
   /// Threaded-state vector loop over `bursts` (a multiple of 4) BL8
-  /// bursts; leaves `state` at the last burst's line values.
+  /// bursts; leaves `state` at the last burst's line values. kRaw
+  /// (RAW, `rule` unread) drives no DBI line: its DBI reads high from
+  /// the entry state on.
+  template <bool kRaw>
   static dbi::BurstStats encode_threaded(Fixed8Rule rule,
                                          const std::uint8_t* bytes,
                                          std::size_t bursts, int stride,
@@ -254,7 +262,7 @@ class Avx2Kernel final : public KernelVariant {
                                          std::size_t results_stride) {
     dbi::BurstStats totals;
     std::uint64_t prev_tx = state.last.dq & 0xFFU;
-    bool prev_dbi = state.last.dbi;
+    bool prev_dbi = kRaw || state.last.dbi;
     const std::uint8_t* p = bytes;
 
     alignas(32) std::uint8_t gbuf[32];
@@ -274,7 +282,9 @@ class Avx2Kernel final : public KernelVariant {
       // DC flags (pop <= 3): signed compare is safe, popcounts are 0..8.
       const auto dc_bits = static_cast<std::uint32_t>(_mm256_movemask_epi8(
           _mm256_cmpgt_epi8(_mm256_set1_epi8(4), pop)));
-      if (rule == Fixed8Rule::kDc) {
+      if (kRaw) {
+        s32 = 0;
+      } else if (rule == Fixed8Rule::kDc) {
         s32 = dc_bits;
       } else {
         // h-flags for beats 1..7 of every burst; each lane's byte 0
@@ -349,6 +359,8 @@ class Avx2Kernel final : public KernelVariant {
   /// bursts: the 4 bursts of a ymm are independent (see
   /// kernel_avx512.cpp for the identities — AC's beat-0 flag is the DC
   /// flag, a per-byte SWAR prefix-XOR scan, 0xFF shifted into beat 0).
+  /// kRaw (RAW, `rule` unread) sets no flags.
+  template <bool kRaw>
   static dbi::BurstStats encode_reset(Fixed8Rule rule,
                                       const std::uint8_t* bytes,
                                       std::size_t bursts, int stride,
@@ -378,7 +390,9 @@ class Avx2Kernel final : public KernelVariant {
       // DC flags (pop <= 3): signed compare is safe, popcounts are 0..8.
       const auto dc = static_cast<std::uint32_t>(_mm256_movemask_epi8(
           _mm256_cmpgt_epi8(_mm256_set1_epi8(4), pop)));
-      if (rule == Fixed8Rule::kDc) {
+      if (kRaw) {
+        s32 = 0;
+      } else if (rule == Fixed8Rule::kDc) {
         s32 = dc;
       } else {
         const __m256i h =

@@ -6,8 +6,8 @@
 // selection on runtime CPUID, so the binary stays portable.
 //
 // Envelope (everything else falls back to the portable reference):
-//   * encode_fixed8: DC / AC / ACDC at burst_length 8 — 8 bursts per
-//     zmm. Per-byte popcounts via the nibble LUT + shuffle, decision
+//   * encode_fixed8: RAW / DC / AC / ACDC at burst_length 8 — 8 bursts
+//     per zmm. Per-byte popcounts via the nibble LUT + shuffle, decision
 //     flags straight into __mmask64 compares, mask -> 0xFF lane spread
 //     with vpmovm2b, per-burst ones/transition counts from vpsadbw
 //     against the byte-shifted stream. One lane or 8 interleaved lanes
@@ -20,7 +20,9 @@
 //     reset the 8 bursts are independent (see encode_reset). Either way
 //     the whole block stays in vector registers. x64 group slices
 //     (stride 8) load with vpmovqb narrowing instead of a byte gather.
-//     Other lane counts run the portable per-burst interleave.
+//     Other lane counts run the portable per-burst interleave. RAW
+//     sets no flags, so it is the stats tail alone: no DBI zeros or
+//     edges, whatever DBI value a lane enters with.
 //   * encode_trellis8: OPT / OPT-Fixed at burst_length 8 under
 //     per-burst reset — 8 independent two-state trellises per zmm, one
 //     per double lane, feeding the same stats tail as the fixed rules
@@ -120,16 +122,16 @@ class Avx512Kernel final : public KernelVariant {
   }
   [[nodiscard]] KernelIsa isa() const override { return KernelIsa::kAvx512; }
   [[nodiscard]] std::string_view envelope() const override {
-    return "DC/AC/ACDC encode at burst length 8, one lane or 8 "
+    return "RAW/DC/AC/ACDC encode at burst length 8, one lane or 8 "
            "interleaved lanes (8 bursts per vector); "
            "OPT/OPT-Fixed trellis at burst length 8 with per-burst reset "
            "(8 trellises per vector); width-8 and full-group wide decode "
            "at burst lengths divisible by 8";
   }
 
-  [[nodiscard]] bool supports_fixed8(Fixed8Rule rule,
+  [[nodiscard]] bool supports_fixed8(Fixed8Rule /*every rule*/,
                                      int burst_length) const override {
-    return rule != Fixed8Rule::kRaw && burst_length == 8;
+    return burst_length == 8;
   }
   [[nodiscard]] bool supports_decode8(const dbi::BusConfig& cfg)
       const override {
@@ -158,17 +160,27 @@ class Avx512Kernel final : public KernelVariant {
     // supports_fixed8_lanes) everything goes to the portable reference.
     if (supports_fixed8_lanes(rule, burst_length, lanes.lanes)) {
       vec = bursts & ~std::size_t{7};
-      if (reset_per_burst)
+      // RAW is decided here, once: it gets its own loops, so the
+      // DC/AC/ACDC loops carry no RAW test.
+      const bool raw = rule == Fixed8Rule::kRaw;
+      if (reset_per_burst && raw)
+        totals = encode_reset(bytes, vec, stride, lanes, results,
+                              results_stride, [](__m512i, __m512i) {
+                                return std::uint64_t{0};
+                              });
+      else if (reset_per_burst)
         totals = encode_reset(bytes, vec, stride, lanes, results,
                               results_stride, [rule](__m512i v, __m512i pop) {
                                 return fixed_flags(rule, v, pop);
                               });
-      else if (lanes.lanes == 1)
-        totals = encode_threaded<1>(rule, bytes, vec, stride, lanes, results,
-                                    results_stride);
-      else
-        totals = encode_threaded<8>(rule, bytes, vec, stride, lanes, results,
-                                    results_stride);
+      else {
+        const auto loop =
+            lanes.lanes == 1
+                ? (raw ? encode_threaded<1, true> : encode_threaded<1, false>)
+                : (raw ? encode_threaded<8, true> : encode_threaded<8, false>);
+        totals = loop(rule, bytes, vec, stride, lanes, results,
+                      results_stride);
+      }
     }
     // Tail bursts (< 8): the portable per-burst interleave, carrying the
     // states the vector loop left — bit-exact by construction.
@@ -322,9 +334,11 @@ class Avx512Kernel final : public KernelVariant {
   /// seeded by the carried decisions: 64-bit with one lane, bytewise
   /// with eight. ACDC decides beat 0 by the DC rule and DC has no
   /// recurrence, so those carry only the stats inputs (the previous
-  /// transmitted byte and DBI value). Leaves each lane at its last
-  /// burst's line values.
-  template <int kLanes>
+  /// transmitted byte and DBI value). kRaw (RAW, `rule` unread) inverts
+  /// nothing and drives no DBI line: it carries the transmitted byte
+  /// alone, takes no entry decision, and leaves every lane's DBI high.
+  /// Leaves each lane at its last burst's line values.
+  template <int kLanes, bool kRaw>
   static dbi::BurstStats encode_threaded(Fixed8Rule rule,
                                          const std::uint8_t* bytes,
                                          std::size_t bursts, int stride,
@@ -351,7 +365,7 @@ class Avx512Kernel final : public KernelVariant {
         const dbi::BusState& st =
             lanes.at(kLanes == 1 ? 0 : (lanes.first_lane + j) % 8);
         const std::uint64_t tx = st.last.dq & 0xFFU;
-        const bool s = !st.last.dbi;
+        const bool s = !kRaw && !st.last.dbi;
         tq[j] = tx << 56;
         rq[j] = (tx ^ (s ? 0xFFU : 0U)) << 56;
         if (s) s_prev |= std::uint64_t{1} << (8 * j + 7);
@@ -384,8 +398,8 @@ class Avx512Kernel final : public KernelVariant {
       const __m512i v = load_beats64(p, stride, gbuf);
       const __m512i pop = byte_popcount512(v);
       const std::uint64_t dc = _mm512_cmple_epu8_mask(pop, _mm512_set1_epi8(3));
-      std::uint64_t s = dc;
-      if (rule != Fixed8Rule::kDc) {
+      std::uint64_t s = kRaw ? 0 : dc;
+      if (!kRaw && rule != Fixed8Rule::kDc) {
         const __m512i h =
             byte_popcount512(_mm512_xor_si512(v, predecessors(v, raw_prev)));
         const std::uint64_t g =

@@ -33,18 +33,10 @@ namespace dbi::engine::kernels {
 // per 64-bit machine word, beat k in byte k.
 
 inline constexpr std::uint64_t kL01 = 0x0101010101010101ULL;
-inline constexpr std::uint64_t kL0F = 0x0F0F0F0F0F0F0F0FULL;
-inline constexpr std::uint64_t kL33 = 0x3333333333333333ULL;
-inline constexpr std::uint64_t kL55 = 0x5555555555555555ULL;
 inline constexpr std::uint64_t kL7F = 0x7F7F7F7F7F7F7F7FULL;
 inline constexpr std::uint64_t kL80 = 0x8080808080808080ULL;
 
-/// Per-byte popcount: byte k of the result = popcount(byte k of v).
-constexpr std::uint64_t byte_popcount(std::uint64_t v) {
-  v -= (v >> 1) & kL55;
-  v = (v & kL33) + ((v >> 2) & kL33);
-  return (v + (v >> 4)) & kL0F;
-}
+// byte_popcount (per-byte popcount) comes from engine/bits.hpp.
 
 /// Packs bytes that are each 0 or 1 into the low 8 bits (byte k -> bit k).
 constexpr std::uint64_t movemask01(std::uint64_t bytes01) {

@@ -1,6 +1,8 @@
 #include "trace/format.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 namespace dbi::trace {
@@ -95,30 +97,80 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
 
 // ------------------------------------------------------------- zero RLE
 
+namespace {
+
+/// 0x80 in byte k iff byte k of `v` is zero. Exact: (b & 0x7F) + 0x7F
+/// never carries out of its byte, so no byte borrows from another.
+constexpr std::uint64_t zero_bytes(std::uint64_t v) {
+  constexpr std::uint64_t k7F = 0x7F7F7F7F7F7F7F7FULL;
+  return ~(((v & k7F) + k7F) | v | k7F);
+}
+
+}  // namespace
+
 void rle_compress(std::span<const std::uint8_t> in,
                   std::vector<std::uint8_t>& out) {
-  std::size_t i = 0;
+  const std::uint8_t* const src = in.data();
   const std::size_t n = in.size();
+  // Worst case: a literal token costs one control byte over its bytes,
+  // and every literal that is not capped at 128 and does not end the
+  // input is followed by a zero run of >= 2 bytes that costs one. So
+  // the overhead is at most one byte per capped literal plus one.
+  const std::size_t base = out.size();
+  out.resize(base + n + n / 128 + 1);
+  std::uint8_t* const begin = out.data() + base;
+  std::uint8_t* dst = begin;
+  std::size_t i = 0;
   while (i < n) {
-    if (in[i] == 0) {
-      std::size_t run = 1;
-      while (i + run < n && run < 128 && in[i + run] == 0) ++run;
-      out.push_back(static_cast<std::uint8_t>(0x80U | (run - 1)));
+    const std::size_t limit = std::min(n, i + 128);
+    std::size_t j = i + 1;
+    if (src[i] == 0) {
+      // Zero run: up to the first nonzero byte.
+      while (j < limit) {
+        if (j + 8 <= n) {
+          const std::uint64_t v = load_le64(src + j);
+          if (v != 0) {
+            j += static_cast<std::size_t>(std::countr_zero(v)) / 8;
+            break;
+          }
+          j += 8;
+        } else if (src[j] != 0) {
+          break;
+        } else {
+          ++j;
+        }
+      }
+      const std::size_t run = std::min(j, limit) - i;
+      *dst++ = static_cast<std::uint8_t>(0x80U | (run - 1));
       i += run;
     } else {
-      // Literal run: stop at a zero pair so short isolated zeros don't
-      // fragment the stream into one-byte tokens.
-      std::size_t run = 1;
-      while (i + run < n && run < 128 &&
-             !(in[i + run] == 0 &&
-               (i + run + 1 >= n || in[i + run + 1] == 0)))
-        ++run;
-      out.push_back(static_cast<std::uint8_t>(run - 1));
-      out.insert(out.end(), in.begin() + static_cast<std::ptrdiff_t>(i),
-                 in.begin() + static_cast<std::ptrdiff_t>(i + run));
+      // Literal run: stop at a zero pair (or a zero as the last byte)
+      // so short isolated zeros don't fragment the stream into
+      // one-byte tokens. Bit 8k + 7 of `pairs` is set iff bytes j + k
+      // and j + k + 1 are both zero.
+      while (j < limit) {
+        if (j + 9 <= n) {
+          const std::uint64_t pairs = zero_bytes(load_le64(src + j)) &
+                                      zero_bytes(load_le64(src + j + 1));
+          if (pairs != 0) {
+            j += static_cast<std::size_t>(std::countr_zero(pairs)) / 8;
+            break;
+          }
+          j += 8;
+        } else if (src[j] == 0 && (j + 1 >= n || src[j + 1] == 0)) {
+          break;
+        } else {
+          ++j;
+        }
+      }
+      const std::size_t run = std::min(j, limit) - i;
+      *dst++ = static_cast<std::uint8_t>(run - 1);
+      std::memcpy(dst, src + i, run);
+      dst += run;
       i += run;
     }
   }
+  out.resize(base + static_cast<std::size_t>(dst - begin));
 }
 
 void rle_decompress(std::span<const std::uint8_t> in,

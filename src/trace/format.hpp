@@ -85,7 +85,9 @@
 //     60  u8[4]  end magic "2TBD"
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -145,6 +147,18 @@ inline constexpr std::uint32_t kDefaultBurstsPerChunk = 4096;
 /// Appends `v` to `out` as `n` little-endian bytes.
 void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int n);
 
+/// The 8 bytes at `p` as a little-endian u64 (byte k in bits 8k..8k+7).
+[[nodiscard]] inline std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, 8);
+  } else {
+    for (int k = 0; k < 8; ++k)
+      v |= static_cast<std::uint64_t>(p[k]) << (8 * k);
+  }
+  return v;
+}
+
 /// Bounds-checked little-endian cursor over a byte view; every overrun
 /// throws TraceError instead of reading past the buffer.
 class ByteReader {
@@ -185,7 +199,13 @@ class Crc32 {
 /// Zero-run RLE over bytes. Token stream: control byte c, then
 ///   c & 0x80 set  -> (c & 0x7F) + 1 zero bytes, no payload;
 ///   c & 0x80 clear -> c + 1 literal bytes follow.
-/// Appends the encoding of `in` to `out`.
+/// A zero token takes every zero up to the next nonzero byte (at most
+/// 128); a literal token runs up to the next zero pair, or a zero as
+/// the last byte (at most 128 bytes). Appends the encoding of `in` to
+/// `out`. Runs are found eight bytes at a time (zero-byte masks) and
+/// tokens are written into `out` grown once to the worst-case size,
+/// then trimmed; the token stream is the same as a byte-at-a-time scan
+/// emits.
 void rle_compress(std::span<const std::uint8_t> in,
                   std::vector<std::uint8_t>& out);
 

@@ -1,10 +1,49 @@
 #include "trace/trace_writer.hpp"
 
 #include <algorithm>
-#include <bit>
+
+#include "engine/bits.hpp"
 
 namespace dbi::trace {
 namespace {
+
+/// The first `len` (< 8) bytes at `p` as a little-endian u64.
+std::uint64_t load_partial(const std::uint8_t* p, std::size_t len) {
+  std::uint64_t v = 0;
+  for (std::size_t k = 0; k < len; ++k)
+    v |= static_cast<std::uint64_t>(p[k]) << (8 * k);
+  return v;
+}
+
+/// Sums the set bits of many words. The library targets baseline
+/// x86-64, where std::popcount is a library call; here each word's
+/// per-byte counts (SWAR) add up in byte lanes, folded into the total
+/// every 31 words, before a lane (at most 8 per word) could overflow.
+class BitTally {
+ public:
+  void add(std::uint64_t v) {
+    lanes_ += dbi::engine::byte_popcount(v);
+    if (++pending_ == 31) fold();
+  }
+
+  [[nodiscard]] std::int64_t total() {
+    fold();
+    return total_;
+  }
+
+ private:
+  void fold() {
+    const std::uint64_t pairs = (lanes_ & 0x00FF00FF00FF00FFULL) +
+                                ((lanes_ >> 8) & 0x00FF00FF00FF00FFULL);
+    total_ += static_cast<std::int64_t>((pairs * 0x0001000100010001ULL) >> 48);
+    lanes_ = 0;
+    pending_ = 0;
+  }
+
+  std::uint64_t lanes_ = 0;
+  int pending_ = 0;
+  std::int64_t total_ = 0;
+};
 
 /// push_back-based append of the 4-byte magics: gcc 12's
 /// -Wstringop-overflow misfires on vector::insert from small constant
@@ -79,6 +118,12 @@ void TraceWriter::init() {
         "chunk payload size field");
   pending_.reserve(static_cast<std::size_t>(opt_.bursts_per_chunk) *
                    bytes_per_burst());
+  // Beat byte k of a group's all-ones line values: the narrow group's
+  // mask byte k, or wide group k's mask.
+  for (int k = 0; k < geometry_.bytes_per_beat(); ++k)
+    boundary_[static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(
+        geometry_.is_wide() ? geometry_.group_config(k).dq_mask()
+                            : geometry_.bus().dq_mask() >> (8 * k));
 
   std::vector<std::uint8_t> header;
   put_magic(header, kFileMagic);
@@ -132,37 +177,69 @@ void TraceWriter::write(const dbi::Burst& burst) {
   write_words(burst.words());
 }
 
-void TraceWriter::account(std::size_t burst_index,
-                          std::span<const std::uint8_t> burst) {
-  // Per group (the whole beat narrow, byte g of every beat wide):
-  // validate each beat word against the group's mask, then count its
-  // zeros and raw transitions from the paper's all-ones boundary.
-  const int bl = geometry_.burst_length();
+void TraceWriter::validate(std::span<const std::uint8_t> bytes) const {
+  // Only a group narrower than its bytes can hold an out-of-range
+  // beat: the top byte of a narrow beat word, the remainder group of a
+  // wide beat. Every other byte fits by construction.
+  if (geometry_.width() % 8 == 0) return;
   const auto step = static_cast<std::size_t>(geometry_.bytes_per_beat());
-  for (int g = 0; g < geometry_.groups(); ++g) {
-    const dbi::BusConfig cfg = geometry_.group_config(g);
-    const auto bpb = static_cast<std::size_t>(cfg.bytes_per_beat());
-    const dbi::Word mask = cfg.dq_mask();
-    dbi::Word last = mask;
-    for (int t = 0; t < bl; ++t) {
-      const std::uint8_t* beat = burst.data() +
-                                 static_cast<std::size_t>(t) * step +
-                                 static_cast<std::size_t>(g);
-      dbi::Word w = 0;
-      for (std::size_t b = 0; b < bpb; ++b)
-        w |= static_cast<dbi::Word>(beat[b]) << (8 * b);
-      if ((w & ~mask) != 0)
-        throw std::invalid_argument(
-            "TraceWriter::write_packed: burst " + std::to_string(burst_index) +
-            " beat " + std::to_string(t) + ": word does not fit the width-" +
-            std::to_string(cfg.width) + " group " + std::to_string(g));
-      stats_.payload_zeros += cfg.width - std::popcount(w);
-      stats_.raw_transitions += std::popcount((last ^ w) & mask);
-      last = w;
+  const std::size_t bb = bytes_per_burst();
+  const std::uint8_t* p = bytes.data();
+  for (std::size_t k = 0; k < bytes.size(); k += step) {
+    unsigned bad = 0;
+    for (std::size_t j = 0; j < step; ++j)
+      bad |= static_cast<unsigned>(p[k + j] & ~boundary_[j]);
+    if (bad == 0) continue;
+    // Narrow beats are one group; wide beats carry group g in byte g,
+    // and only the last (remainder) group can overflow.
+    const int g = geometry_.is_wide() ? geometry_.groups() - 1 : 0;
+    throw std::invalid_argument(
+        "TraceWriter::write_packed: burst " + std::to_string(k / bb) +
+        " beat " + std::to_string(k % bb / step) +
+        ": word does not fit the width-" +
+        std::to_string(geometry_.group_config(g).width) + " group " +
+        std::to_string(g));
+  }
+}
+
+void TraceWriter::account(std::span<const std::uint8_t> bytes) {
+  // Zeros are the width's lines minus the ones (validated beats hold no
+  // bits above their group). Raw transitions compare each beat byte
+  // with the same byte one beat earlier, and the burst's first beat
+  // with the all-ones boundary: eight bytes at a time, the word against
+  // the word `step` bytes before it, or for the burst's first word
+  // against itself shifted one beat with the boundary shifted in.
+  const auto step = static_cast<std::size_t>(geometry_.bytes_per_beat());
+  const std::size_t bb = bytes_per_burst();
+  const std::uint64_t boundary = load_le64(boundary_.data());
+  BitTally ones;
+  BitTally toggles;
+  for (std::size_t b = 0; b < bytes.size(); b += bb) {
+    const std::uint8_t* f = bytes.data() + b;
+    for (std::size_t k = 0; k < bb; k += 8) {
+      // The burst's last word may be short: load and compare only the
+      // bytes that belong to it.
+      const std::size_t len = std::min<std::size_t>(8, bb - k);
+      const std::uint64_t cur =
+          len == 8 ? load_le64(f + k) : load_partial(f + k, len);
+      std::uint64_t prev;
+      if (k == 0)
+        prev = step == 8 ? boundary : (cur << (8 * step)) | boundary;
+      else
+        prev = len == 8 ? load_le64(f + k - step)
+                        : load_partial(f + k - step, len);
+      if (len < 8) prev &= (std::uint64_t{1} << (8 * len)) - 1;
+      ones.add(cur);
+      toggles.add(cur ^ prev);
     }
   }
-  stats_.bursts += 1;
-  stats_.payload_bits += geometry_.width() * bl;
+  const auto bursts = static_cast<std::int64_t>(bytes.size() / bb);
+  const std::int64_t bits = static_cast<std::int64_t>(geometry_.width()) *
+                            geometry_.burst_length() * bursts;
+  stats_.bursts += bursts;
+  stats_.payload_bits += bits;
+  stats_.payload_zeros += bits - ones.total();
+  stats_.raw_transitions += toggles.total();
 }
 
 void TraceWriter::write_packed(std::span<const std::uint8_t> bytes) {
@@ -229,17 +306,28 @@ void TraceWriter::append_packed(std::span<const std::uint8_t> bytes,
         "TraceWriter::write_packed: payload of " +
         std::to_string(bytes.size()) + " bytes is not a multiple of the " +
         std::to_string(bb) + "-byte packed burst");
-  for (std::size_t i = 0; i * bb < bytes.size(); ++i) {
-    const auto burst = bytes.subspan(i * bb, bb);
-    account(i, burst);
-    pending_.insert(pending_.end(), burst.begin(), burst.end());
-    if (masks) {
-      const auto groups = static_cast<std::size_t>(geometry_.groups());
-      for (std::size_t g = 0; g < groups; ++g)
-        put_le(pending_masks_, masks[i * groups + g],
-               static_cast<int>(kMaskBytesPerBurst));
-    }
-    if (++pending_bursts_ == opt_.bursts_per_chunk) flush_chunk();
+  // All or nothing: a rejected span leaves the stats and the open chunk
+  // as they were.
+  validate(bytes);
+  const auto groups = static_cast<std::size_t>(geometry_.groups());
+  std::size_t done = 0;  // bursts appended so far
+  const std::size_t total = bytes.size() / bb;
+  while (done < total) {
+    // The part of the span that fits the open chunk.
+    const std::size_t take =
+        std::min<std::size_t>(total - done,
+                              opt_.bursts_per_chunk - pending_bursts_);
+    const auto part = bytes.subspan(done * bb, take * bb);
+    account(part);
+    pending_.insert(pending_.end(), part.begin(), part.end());
+    if (masks)
+      for (const std::uint64_t m :
+           std::span<const std::uint64_t>(masks + done * groups,
+                                          take * groups))
+        put_le(pending_masks_, m, static_cast<int>(kMaskBytesPerBurst));
+    done += take;
+    pending_bursts_ += static_cast<std::uint32_t>(take);
+    if (pending_bursts_ == opt_.bursts_per_chunk) flush_chunk();
   }
 }
 

@@ -5,10 +5,12 @@
 // chunk (only kept when it actually shrinks the payload), and flushed
 // with a trailing stats footer + CRC on finish(). Payload statistics
 // (zeros / raw transitions with the paper's all-ones boundary) are
-// accumulated on the fly in 64-bit counters, so recording a trace also
-// yields its workload::TraceStats without a second pass.
+// counted a chunk part at a time, eight payload bytes per step, as the
+// bytes are buffered, so recording a trace also yields its
+// workload::TraceStats without a second pass.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -84,7 +86,11 @@ class TraceWriter {
   /// (bytes_per_burst() bytes each — little-endian beat words for
   /// single-group traces, beat-major group bytes for wide ones).
   /// Remainder-group / out-of-mask beats throw with the burst and beat
-  /// index.
+  /// index. The write is all or nothing: the whole span is validated
+  /// before any of it is counted or buffered, so a throw leaves stats()
+  /// and the open chunk unchanged. Each part of the span that fits the
+  /// open chunk is counted and copied in one step; the file does not
+  /// depend on how the payload is split into calls.
   void write_packed(std::span<const std::uint8_t> bytes);
 
   /// Encoded-trace write path (TraceWriterOptions::encoded only):
@@ -92,6 +98,7 @@ class TraceWriter {
   /// write_packed, and `masks` holds one u64 inversion mask per
   /// (burst, group) pair, burst-major / group-minor — the engine's
   /// BurstResult order. Mask bits at or beyond burst_length throw.
+  /// All or nothing, like write_packed.
   void write_encoded(std::span<const std::uint8_t> bytes,
                      std::span<const std::uint64_t> masks);
 
@@ -120,7 +127,10 @@ class TraceWriter {
   void flush_chunk();
   void emit_chunk(std::uint32_t bursts, std::uint32_t kind_flags,
                   std::span<const std::uint8_t> raw);
-  void account(std::size_t burst_index, std::span<const std::uint8_t> burst);
+  /// Throws on the first beat of `bytes` that does not fit its group.
+  void validate(std::span<const std::uint8_t> bytes) const;
+  /// Adds the payload statistics of whole, validated bursts.
+  void account(std::span<const std::uint8_t> bytes);
   void append_packed(std::span<const std::uint8_t> bytes,
                      const std::uint64_t* masks);
   [[nodiscard]] std::size_t bytes_per_burst() const {
@@ -138,6 +148,9 @@ class TraceWriter {
   /// Scheme of the open chunk (mixed mode; nullopt until declared).
   std::optional<dbi::Scheme> chunk_scheme_;
   std::vector<std::uint8_t> scratch_;  // chunk header / RLE staging
+  /// All-ones line values of each beat byte (the per-burst boundary of
+  /// the raw transition count), zero past bytes_per_beat().
+  std::array<std::uint8_t, 8> boundary_{};
   Crc32 crc_;
   workload::TraceStats stats_;
   std::uint64_t chunks_ = 0;

@@ -388,9 +388,11 @@ TEST(KernelParity, Fixed8LaneInterleaveMatchesSwarAndScalarPerLane) {
   // (stride 1) and the first / last group of x64 (stride 8), up to five
   // 8-wide vector blocks plus each tail length, with and without
   // results. Entry states are arbitrary (inconsistent DQ / DBI pairs
-  // included); state and result slots that belong to other groups hold
-  // sentinels that must survive.
+  // included, and DBI low, which RAW must neither count nor keep);
+  // state and result slots that belong to other groups hold sentinels
+  // that must survive.
   constexpr std::pair<Scheme, engine::Fixed8Rule> kRules[] = {
+      {Scheme::kRaw, engine::Fixed8Rule::kRaw},
       {Scheme::kDc, engine::Fixed8Rule::kDc},
       {Scheme::kAc, engine::Fixed8Rule::kAc},
       {Scheme::kAcDc, engine::Fixed8Rule::kAcDc}};
@@ -1019,6 +1021,40 @@ TEST(KernelSession, SpecPinsVariantAndReportNamesIt) {
     EXPECT_EQ(rep.fixed_encode, enc8 ? v->name() : "swar");
     EXPECT_EQ(rep.planar_encode, "n/a");
   }
+}
+
+TEST(KernelSession, RawX8Bl8RunsOnVariantFixedPath) {
+  // Recording runs a RAW session; the x86 SIMD variants serve the RAW
+  // rule at BL8 on their fixed path, threaded and per-burst reset, and
+  // count the same stats as the portable reference.
+  const auto data = random_bytes(8 * 8 * 67, 811);
+  for (const StatePolicy policy :
+       {StatePolicy::kThread, StatePolicy::kResetPerBurst})
+    for (const KernelVariant* v : usable_variants()) {
+      SessionSpec spec;
+      spec.policy = Scheme::kRaw;
+      spec.geometry = Geometry::narrow(8, 8);
+      spec.state_policy = policy;
+      spec.kernel = std::string(v->name());
+      Session session(spec);
+      const KernelReport rep = session.kernel_report();
+      if (v->isa() == engine::KernelIsa::kAvx2 ||
+          v->isa() == engine::KernelIsa::kAvx512) {
+        EXPECT_EQ(rep.fixed_encode, v->name());
+      }
+      EXPECT_EQ(rep.fixed_encode, v->supports_fixed8(engine::Fixed8Rule::kRaw,
+                                                     8)
+                                      ? v->name()
+                                      : "swar");
+      SessionSpec ref_spec = spec;
+      ref_spec.kernel = "swar";
+      Session ref(ref_spec);
+      const StreamStats got = session.write_stream(data);
+      const StreamStats want = ref.write_stream(data);
+      EXPECT_EQ(got.zeros, want.zeros) << v->name();
+      EXPECT_EQ(got.transitions, want.transitions) << v->name();
+      EXPECT_EQ(got.bursts, want.bursts) << v->name();
+    }
 }
 
 TEST(KernelSession, EnvOverrideReachesSession) {

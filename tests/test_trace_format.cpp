@@ -604,6 +604,330 @@ TEST(TraceFormat, RleDecodeMatchesBytewiseReference) {
                TraceError);
 }
 
+// ------------------------------------------- bulk writer vs per-burst
+
+/// The per-burst accounting TraceWriter ran before it counted a chunk
+/// at a time: per group (the whole beat narrow, byte g of every beat
+/// wide), each beat word's zeros and its raw transitions from the
+/// all-ones boundary.
+workload::TraceStats per_burst_stats(const Geometry& geometry,
+                                     std::span<const std::uint8_t> bytes) {
+  workload::TraceStats st;
+  const int bl = geometry.burst_length();
+  const auto step = static_cast<std::size_t>(geometry.bytes_per_beat());
+  const auto bb = static_cast<std::size_t>(geometry.bytes_per_burst());
+  for (std::size_t i = 0; i * bb < bytes.size(); ++i) {
+    const std::uint8_t* burst = bytes.data() + i * bb;
+    for (int g = 0; g < geometry.groups(); ++g) {
+      const BusConfig cfg = geometry.group_config(g);
+      const auto bpb = static_cast<std::size_t>(cfg.bytes_per_beat());
+      const Word mask = cfg.dq_mask();
+      Word last = mask;
+      for (int t = 0; t < bl; ++t) {
+        const std::uint8_t* beat = burst + static_cast<std::size_t>(t) * step +
+                                   static_cast<std::size_t>(g);
+        Word w = 0;
+        for (std::size_t b = 0; b < bpb; ++b)
+          w |= static_cast<Word>(beat[b]) << (8 * b);
+        st.payload_zeros += cfg.width - std::popcount(w);
+        st.raw_transitions += std::popcount((last ^ w) & mask);
+        last = w;
+      }
+    }
+    st.bursts += 1;
+    st.payload_bits += geometry.width() * bl;
+  }
+  return st;
+}
+
+/// `bursts` random bursts that fit `geometry`: runs of all-zero and
+/// all-ones bursts between random ones, so chunks compress unevenly.
+std::vector<std::uint8_t> fitting_payload(const Geometry& geometry,
+                                          std::size_t bursts,
+                                          std::uint64_t seed) {
+  const auto step = static_cast<std::size_t>(geometry.bytes_per_beat());
+  const auto bb = static_cast<std::size_t>(geometry.bytes_per_burst());
+  std::vector<std::uint8_t> beat_mask(step);
+  for (std::size_t k = 0; k < step; ++k)
+    beat_mask[k] = static_cast<std::uint8_t>(
+        geometry.is_wide()
+            ? geometry.group_config(static_cast<int>(k)).dq_mask()
+            : geometry.bus().dq_mask() >> (8 * k));
+  std::uint64_t x = seed * 0x9E3779B97F4A7C15ULL + 1;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  std::vector<std::uint8_t> out(bursts * bb);
+  for (std::size_t i = 0; i < bursts; ++i) {
+    const std::uint64_t kind = next() % 4;  // 0: zeros, 1: ones, else random
+    for (std::size_t k = 0; k < bb; ++k) {
+      const auto r = static_cast<std::uint8_t>(next());
+      const std::uint8_t v = kind == 0 ? 0 : kind == 1 ? 0xFF : r;
+      out[i * bb + k] = v & beat_mask[k % step];
+    }
+  }
+  return out;
+}
+
+TEST(TraceFormat, WriterStatsAndBytesMatchPerBurstReference) {
+  // The writer counts its footer stats and copies its chunks a span
+  // part at a time. Stats must equal the per-burst reference, and the
+  // file must not depend on how the payload was split into calls: one
+  // burst at a time (the reference's unit), 7 bursts, one burst short
+  // of a chunk, one past it, or everything at once.
+  constexpr std::size_t kBursts = 4096 + 37;
+  const std::vector<std::pair<bool, int>> shapes = {
+      {false, 5},  {false, 8},  {false, 12}, {false, 16},
+      {false, 32}, {true, 12},  {true, 60},  {true, 64}};
+  for (const auto& [is_wide, width] : shapes)
+    for (const int bl : {4, 8, 16}) {
+      const Geometry geometry = is_wide ? Geometry::wide(width, bl)
+                                        : Geometry::narrow(width, bl);
+      const auto bb = static_cast<std::size_t>(geometry.bytes_per_burst());
+      const auto groups = static_cast<std::size_t>(geometry.groups());
+      const auto payload = fitting_payload(
+          geometry, kBursts, static_cast<std::uint64_t>(width * 100 + bl));
+      const workload::TraceStats want = per_burst_stats(geometry, payload);
+      std::vector<std::uint64_t> masks(kBursts * groups);
+      for (std::size_t m = 0; m < masks.size(); ++m)
+        masks[m] = (payload[m % payload.size()] * 0x0101010101010101ULL +
+                    m * 0x9E3779B97F4A7C15ULL) &
+                   ((std::uint64_t{1} << bl) - 1);
+
+      for (const std::uint32_t chunk : {1U, 3U, 4096U})
+        for (const bool encoded : {false, true}) {
+          TraceWriterOptions opt;
+          opt.bursts_per_chunk = chunk;
+          opt.encoded = encoded;
+          std::vector<std::uint8_t> first;
+          for (const std::size_t split :
+               {std::size_t{1}, std::size_t{7}, std::size_t{chunk - 1},
+                std::size_t{chunk + 1}, kBursts}) {
+            if (split == 0) continue;
+            const std::string ctx =
+                geometry.to_string() + " chunk " + std::to_string(chunk) +
+                (encoded ? " encoded" : "") + " split " +
+                std::to_string(split);
+            std::ostringstream os(std::ios::binary);
+            TraceWriter writer(os, geometry, opt);
+            for (std::size_t i = 0; i < kBursts; i += split) {
+              const std::size_t n = std::min(split, kBursts - i);
+              const auto bytes =
+                  std::span<const std::uint8_t>(payload).subspan(i * bb,
+                                                                 n * bb);
+              if (encoded)
+                writer.write_encoded(
+                    bytes, std::span<const std::uint64_t>(masks).subspan(
+                               i * groups, n * groups));
+              else
+                writer.write_packed(bytes);
+            }
+            writer.finish();
+            const workload::TraceStats& got = writer.stats();
+            ASSERT_EQ(got.bursts, want.bursts) << ctx;
+            ASSERT_EQ(got.payload_bits, want.payload_bits) << ctx;
+            ASSERT_EQ(got.payload_zeros, want.payload_zeros) << ctx;
+            ASSERT_EQ(got.raw_transitions, want.raw_transitions) << ctx;
+            const std::string s = os.str();
+            std::vector<std::uint8_t> image(s.begin(), s.end());
+            if (first.empty()) {
+              // The file reads back: footer stats, payload and masks.
+              const auto reader = TraceReader::from_bytes(image);
+              ASSERT_EQ(reader.stats().payload_zeros, want.payload_zeros)
+                  << ctx;
+              ASSERT_EQ(reader.stats().raw_transitions, want.raw_transitions)
+                  << ctx;
+              std::vector<std::uint8_t> scratch;
+              std::vector<std::uint8_t> mask_scratch;
+              std::vector<std::uint64_t> mask_words;
+              std::vector<std::uint8_t> got_payload;
+              std::vector<std::uint64_t> got_masks;
+              for (std::size_t c = 0; c < reader.chunk_count(); ++c) {
+                const auto view = reader.chunk_payload(c, scratch);
+                got_payload.insert(got_payload.end(), view.begin(),
+                                   view.end());
+                if (encoded) {
+                  const auto mv =
+                      reader.chunk_masks(c, mask_scratch, mask_words);
+                  got_masks.insert(got_masks.end(), mv.begin(), mv.end());
+                }
+              }
+              ASSERT_EQ(got_payload, payload) << ctx;
+              if (encoded) {
+                ASSERT_EQ(got_masks, masks) << ctx;
+              }
+              first = std::move(image);
+            } else {
+              ASSERT_EQ(image, first) << ctx;
+            }
+          }
+        }
+    }
+}
+
+TEST(TraceFormat, RejectedWriteLeavesWriterUnchanged) {
+  // A span with one out-of-range beat is rejected whole: no burst of it
+  // is counted or buffered, so the finished file is the one a writer
+  // that never saw the call writes.
+  const Geometry geometry = Geometry::wide(12, 4);
+  TraceWriterOptions opt;
+  opt.bursts_per_chunk = 2;
+  const auto bb = static_cast<std::size_t>(geometry.bytes_per_burst());
+  const auto before = fitting_payload(geometry, 3, 1);
+  const auto after = fitting_payload(geometry, 2, 2);
+  auto bad = fitting_payload(geometry, 3, 3);
+  bad[2 * bb + 2 * 2 + 1] = 0x30;  // burst 2, beat 2, group 1: 4 lanes
+
+  std::ostringstream got_os(std::ios::binary);
+  TraceWriter writer(got_os, geometry, opt);
+  writer.write_packed(before);
+  const workload::TraceStats stats = writer.stats();
+  try {
+    writer.write_packed(bad);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("burst 2 beat 2"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("width-4 group 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(writer.bursts_written(), 3);
+  EXPECT_EQ(writer.stats().payload_bits, stats.payload_bits);
+  EXPECT_EQ(writer.stats().payload_zeros, stats.payload_zeros);
+  EXPECT_EQ(writer.stats().raw_transitions, stats.raw_transitions);
+  writer.write_packed(after);
+  writer.finish();
+
+  std::ostringstream want_os(std::ios::binary);
+  TraceWriter clean(want_os, geometry, opt);
+  clean.write_packed(before);
+  clean.write_packed(after);
+  clean.finish();
+  EXPECT_EQ(got_os.str(), want_os.str());
+}
+
+TEST(TraceFormat, RleCompressMatchesBytewiseReference) {
+  // The one-byte-per-step compressor the word scan replaces.
+  const auto reference = [](std::span<const std::uint8_t> in,
+                            std::vector<std::uint8_t>& out) {
+    std::size_t i = 0;
+    const std::size_t n = in.size();
+    while (i < n) {
+      if (in[i] == 0) {
+        std::size_t run = 1;
+        while (i + run < n && run < 128 && in[i + run] == 0) ++run;
+        out.push_back(static_cast<std::uint8_t>(0x80U | (run - 1)));
+        i += run;
+      } else {
+        std::size_t run = 1;
+        while (i + run < n && run < 128 &&
+               !(in[i + run] == 0 &&
+                 (i + run + 1 >= n || in[i + run + 1] == 0)))
+          ++run;
+        out.push_back(static_cast<std::uint8_t>(run - 1));
+        out.insert(out.end(), in.begin() + static_cast<std::ptrdiff_t>(i),
+                   in.begin() + static_cast<std::ptrdiff_t>(i + run));
+        i += run;
+      }
+    }
+  };
+  // Same tokens behind a kept prefix of `out`, and a lossless decode.
+  const auto agree = [&reference](const std::vector<std::uint8_t>& in)
+      -> ::testing::AssertionResult {
+    const std::vector<std::uint8_t> prefix = {0xAB, 0xCD};
+    std::vector<std::uint8_t> want = prefix;
+    std::vector<std::uint8_t> got = prefix;
+    reference(in, want);
+    rle_compress(in, got);
+    if (got != want)
+      return ::testing::AssertionFailure()
+             << "token streams differ (" << got.size() << " vs "
+             << want.size() << " bytes)";
+    std::vector<std::uint8_t> back(in.size(), 0xEE);
+    rle_decompress(std::span(got).subspan(prefix.size()), back);
+    if (back != in) return ::testing::AssertionFailure() << "lossy";
+    return ::testing::AssertionSuccess();
+  };
+
+  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  const auto nonzero = [&next] {
+    return static_cast<std::uint8_t>(1 + next() % 255);
+  };
+
+  // Every run length 1..130 of both kinds, ending 0..40 bytes before
+  // the end of the input; the tail is nonzero, zero or mixed bytes.
+  for (const bool zeros : {false, true})
+    for (std::size_t run = 1; run <= 130; ++run)
+      for (std::size_t tail = 0; tail <= 40; ++tail)
+        for (int fill = 0; fill < 3; ++fill) {
+          std::vector<std::uint8_t> in;
+          // The run starts a token: a zero run after a literal byte, a
+          // literal after a zero pair.
+          if (zeros) {
+            in.push_back(nonzero());
+          } else {
+            in.insert(in.end(), {0, 0});
+          }
+          for (std::size_t k = 0; k < run; ++k)
+            in.push_back(zeros ? 0 : nonzero());
+          for (std::size_t k = 0; k < tail; ++k)
+            in.push_back(fill == 0   ? nonzero()
+                         : fill == 1 ? 0
+                                     : static_cast<std::uint8_t>(
+                                           (next() & 1U) ? nonzero() : 0));
+          ASSERT_TRUE(agree(in))
+              << (zeros ? "zero" : "literal") << " run " << run << " tail "
+              << tail << " fill " << fill;
+        }
+
+  // Zero pairs and lone zeros at every offset across 8-byte word
+  // edges, and a lone zero as the last byte.
+  for (std::size_t len = 2; len <= 40; ++len)
+    for (std::size_t at = 0; at < len; ++at) {
+      std::vector<std::uint8_t> in(len);
+      for (auto& b : in) b = nonzero();
+      in[at] = 0;
+      ASSERT_TRUE(agree(in)) << "lone zero at " << at << " of " << len;
+      if (at + 1 < len) {
+        in[at + 1] = 0;
+        ASSERT_TRUE(agree(in)) << "zero pair at " << at << " of " << len;
+      }
+    }
+
+  // Both 128-byte caps, at and around every multiple.
+  for (const std::size_t len :
+       {127U, 128U, 129U, 255U, 256U, 257U, 383U, 384U, 385U, 1000U}) {
+    std::vector<std::uint8_t> lit(len);
+    for (auto& b : lit) b = nonzero();
+    ASSERT_TRUE(agree(lit)) << "literal of " << len;
+    ASSERT_TRUE(agree(std::vector<std::uint8_t>(len, 0)))
+        << "zeros of " << len;
+  }
+  ASSERT_TRUE(agree({}));
+
+  // Random buffers with zero densities from 0 to 1.
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t len = next() % 700;
+    const double density = static_cast<double>(trial % 101) / 100.0;
+    std::vector<std::uint8_t> in(len);
+    for (auto& b : in)
+      b = static_cast<double>(next() % 10000) < density * 10000.0
+              ? 0
+              : nonzero();
+    ASSERT_TRUE(agree(in)) << "trial " << trial << " density " << density;
+  }
+}
+
 TEST(TraceFormat, TextBinaryConversionIsLossless) {
   const auto trace = random_trace(BusConfig{8, 8}, 128, 41);
   std::ostringstream text1;
